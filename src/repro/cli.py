@@ -355,6 +355,25 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _pipeline_depth(text: str) -> int:
+    depth = int(text)
+    if depth < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return depth
+
+
+def _add_pipeline_depth(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--pipeline-depth",
+        type=_pipeline_depth,
+        default=1,
+        metavar="K",
+        help="selected nodes kept in flight per search, whose model "
+        "queries are sent together (1 = the serial loop; outcome "
+        "records are unaffected)",
+    )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument(
@@ -412,15 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="checker-error feedback rounds after a failed search "
         "(0 disables the repair loop)",
     )
-    p_prove.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=0,
-        metavar="K",
-        help="generation calls in flight per search (0 = serial loop; "
-        "1 = pipelined, byte-identical to serial; >=2 overlaps "
-        "generation with checking)",
-    )
+    _add_pipeline_depth(p_prove)
     p_prove.set_defaults(fn=_cmd_prove)
 
     p_repair = sub.add_parser(
@@ -447,13 +458,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="shared wall-clock budget across the initial search and "
         "every repair round",
     )
-    p_repair.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=0,
-        metavar="K",
-        help="generation calls in flight per search (0 = serial loop)",
-    )
+    _add_pipeline_depth(p_repair)
     p_repair.set_defaults(fn=_cmd_repair)
 
     p_eval = sub.add_parser("eval", help="mini evaluation sweep")
@@ -524,15 +529,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="checker-error feedback rounds per failed cell "
         "(0 disables the repair loop)",
     )
-    p_eval.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=0,
-        metavar="K",
-        help="generation calls in flight per search (0 = serial loop; "
-        "1 = pipelined, byte-identical to serial; >=2 overlaps "
-        "generation with checking; outcome records are unaffected)",
-    )
+    _add_pipeline_depth(p_eval)
     p_eval.add_argument(
         "--pass-at-k",
         type=int,
@@ -600,14 +597,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="record every job's search as span-tree JSONL "
         "(render: repro trace)",
     )
-    p_server.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=0,
-        metavar="K",
-        help="generation calls in flight per proof job (0 = serial "
-        "search loop)",
-    )
+    _add_pipeline_depth(p_server)
     p_server.add_argument(
         "--cluster",
         type=int,

@@ -8,9 +8,9 @@ in ``benchmarks/test_ablation_search.py``.
 Reservations (virtual loss)
 ---------------------------
 
-The pipelined search (:mod:`repro.core.pipeline`) selects up to ``k``
-nodes per round before any of their expansions has returned.  It does
-so through :meth:`Frontier.reserve`: a reserved node leaves the queue
+The search (:mod:`repro.core.search`) at pipeline depth ``k`` selects
+up to ``k`` nodes before the oldest is expanded.  It does so through
+:meth:`Frontier.reserve`: a reserved node leaves the queue
 entirely — the virtual-loss limit case, an infinite temporary penalty
 — so the next ``reserve`` call picks the best *remaining* node
 (typically a sibling) instead of re-selecting the same one.  Because
@@ -21,7 +21,7 @@ in-flight selection.
 A reservation ends one of two ways:
 
 * :meth:`Frontier.commit` — the node was expanded; it never returns
-  to the queue (mirrors the serial loop, where ``pop`` is final);
+  to the queue (like ``pop``);
 * :meth:`Frontier.release` — the search is exiting with the node
   still unexpanded (early proof, deadline expiry); the node re-enters
   the queue *at its original position* — same priority, same
@@ -30,7 +30,7 @@ A reservation ends one of two ways:
 
 Callers that release several reservations restore exact order by
 releasing in reverse reservation order (see
-``BestFirstSearch._pipelined_loop``).
+``BestFirstSearch.prove``).
 """
 
 from __future__ import annotations

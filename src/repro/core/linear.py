@@ -7,22 +7,24 @@ validates, and never revisit earlier states except by bounded
 backtracking when every candidate fails.
 
 Implemented here so the ablation bench can compare the disciplines
-under identical fuel.
+under identical fuel; candidates are validated by the expansion step
+every engine shares (:mod:`repro.core.expand`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.core.expand import Expander
+from repro.core.node import Node
 from repro.core.result import SearchResult, SearchStats, Status
 from repro.core.search import PromptFn, SearchConfig
 from repro.errors import GenerationError
-from repro.kernel.goals import ProofState
 from repro.kernel.terms import Term
-from repro.llm.interface import TacticGenerator
-from repro.serapi.checker import ProofChecker, Verdict
+from repro.llm.interface import Candidate, TacticGenerator
+from repro.serapi.checker import ProofChecker
 
 __all__ = ["LinearConfig", "LinearSearch"]
 
@@ -69,85 +71,50 @@ class LinearSearch:
         config = self.config
         stats = SearchStats()
         started = time.monotonic()
+        expander = Expander(self.checker, stats)
 
-        def finish(status: Status, tactics=None) -> SearchResult:
+        def finish(status: Status, node: Optional[Node] = None):
             stats.wall_seconds = time.monotonic() - started
             return SearchResult(
                 status=status,
                 theorem_name=theorem_name,
-                tactics=list(tactics or []),
+                tactics=node.tactics_from_root() if node is not None else [],
                 stats=stats,
+                failure=None if status is Status.PROVED else expander.failure,
             )
 
-        # The trail holds (state, remaining-candidates) so backtracking
+        # The trail holds (node, untried candidates) so backtracking
         # can try the next-best candidate at an earlier step.
-        root = self.checker.start(statement)
-        seen: Set = {self.checker.state_key(root)}
-        trail: List[Tuple[ProofState, List[str], List[str]]] = []
-        state = root
-        steps: List[str] = []
-        backtracks = 0
+        trail: List[Tuple[Node, Sequence[Candidate]]] = []
 
+        def step(parent: Node, ranked: Sequence[Candidate]) -> Optional[Node]:
+            """The child of the best candidate that validates, if any."""
+            expansion = expander.expand(parent, ranked, limit=1)
+            child = expansion.proof or next(iter(expansion.children), None)
+            if child is not None:
+                trail.append((parent, ranked[expansion.checked :]))
+            return child
+
+        node = expander.root(self.checker.start(statement))
+        backtracks = 0
         while stats.queries < config.fuel:
-            prompt = prompt_fn(state, steps)
+            prompt = prompt_fn(node.state, node.tactics_from_root())
             stats.queries += 1
-            candidates = [
-                c.tactic for c in self.generator.generate(prompt, config.width)
-            ]
-            advanced = False
-            while candidates:
-                tactic = candidates.pop(0)
-                stats.candidates += 1
-                check = self.checker.check(state, tactic, seen_keys=seen)
-                if check.verdict is Verdict.REJECTED:
-                    stats.rejected += 1
-                    continue
-                if check.verdict is Verdict.DUPLICATE:
-                    stats.duplicates += 1
-                    continue
-                if check.verdict is Verdict.TIMEOUT:
-                    stats.timeouts += 1
-                    continue
-                assert check.state is not None
-                trail.append((state, list(candidates), list(steps)))
-                seen.add(self.checker.state_key(check.state))
-                stats.nodes_created += 1
-                state = check.state
-                steps = steps + [tactic]
-                if state.is_complete():
-                    return finish(Status.PROVED, steps)
-                advanced = True
-                break
-            if advanced:
-                continue
-            # Dead end: backtrack to the most recent step with a spare
-            # candidate that still validates.
-            resumed = False
-            while trail and not resumed:
-                prev_state, spare, prev_steps = trail.pop()
-                for index, tactic in enumerate(spare):
-                    stats.candidates += 1
-                    check = self.checker.check(
-                        prev_state, tactic, seen_keys=seen
-                    )
-                    if not check.ok:
-                        stats.rejected += 1
-                        continue
-                    assert check.state is not None
-                    trail.append(
-                        (prev_state, spare[index + 1 :], prev_steps)
-                    )
-                    seen.add(self.checker.state_key(check.state))
-                    stats.nodes_created += 1
-                    state = check.state
-                    steps = prev_steps + [tactic]
-                    resumed = True
-                    break
-            if not resumed:
-                return finish(Status.STUCK)
-            if state.is_complete():
-                return finish(Status.PROVED, steps)
-            backtracks += 1
+            candidates = self.generator.generate(prompt, config.width)
+            node.expanded = True
+            stats.nodes_expanded += 1
+            child = step(node, candidates)
+            if child is None:
+                # Dead end: backtrack to the most recent step with a
+                # spare candidate that still validates.
+                while trail and child is None:
+                    child = step(*trail.pop())
+                if child is None:
+                    return finish(Status.STUCK)
+                backtracks += 1
+            if child.state.is_complete():
+                return finish(Status.PROVED, child)
             if backtracks > config.max_backtracks:
                 return finish(Status.STUCK)
+            node = child
         return finish(Status.FUELOUT)

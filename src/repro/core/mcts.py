@@ -15,25 +15,27 @@ recipe, adapted to proof search:
   log-probability).
 * **Backpropagation** — the value updates mean statistics up the path.
 
-Shares :class:`SearchConfig`, the checker, the generator protocol, and
-the result/transcript types with the best-first engine, so the
-ablation bench can swap engines behind one interface.
+Shares :class:`SearchConfig`, the checker, the generator protocol, the
+expansion step (:mod:`repro.core.expand`) and the result types with the
+best-first engine, so the ablation bench can swap engines behind one
+interface.
 """
 
 from __future__ import annotations
 
 import math
-import random
+import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set
+from typing import List, Optional
 
+from repro.core.expand import Expander
+from repro.core.node import Node
 from repro.core.result import SearchResult, SearchStats, Status
 from repro.core.search import PromptFn, SearchConfig
 from repro.errors import GenerationError
-from repro.kernel.goals import ProofState
 from repro.kernel.terms import Term
 from repro.llm.interface import TacticGenerator
-from repro.serapi.checker import ProofChecker, Verdict
+from repro.serapi.checker import ProofChecker
 
 __all__ = ["MCTSConfig", "MCTSSearch"]
 
@@ -56,15 +58,11 @@ class MCTSConfig:
 
 
 @dataclass
-class _MNode:
-    state: ProofState
-    key: Hashable  # checker.state_key(): int fingerprint or oracle string
-    depth: int
-    parent: Optional["_MNode"] = None
-    tactic: Optional[str] = None
-    prior: float = 0.0
+class _MNode(Node):
+    """A search-tree node with UCT statistics; its prior is the model's
+    log-probability of the tactic that reached it (``log_prob``)."""
+
     children: List["_MNode"] = field(default_factory=list)
-    expanded: bool = False
     visits: int = 0
     value_sum: float = 0.0
 
@@ -72,15 +70,6 @@ class _MNode:
         if self.visits == 0:
             return 0.0
         return self.value_sum / self.visits
-
-    def tactics_from_root(self) -> List[str]:
-        steps: List[str] = []
-        node: Optional[_MNode] = self
-        while node is not None and node.tactic is not None:
-            steps.append(node.tactic)
-            node = node.parent
-        steps.reverse()
-        return steps
 
 
 def _leaf_value(node: _MNode) -> float:
@@ -91,7 +80,7 @@ def _leaf_value(node: _MNode) -> float:
     # Fewer open goals is better; the prior nudges toward moves the
     # model believed in.
     base = 1.0 / (1.0 + goals)
-    prior = math.exp(min(node.prior, 0.0))  # in (0, 1]
+    prior = math.exp(min(node.log_prob, 0.0))  # in (0, 1]
     return 0.6 * base + 0.3 * prior
 
 
@@ -120,17 +109,11 @@ class MCTSSearch:
         statement: Term,
         prompt_fn: PromptFn,
     ) -> SearchResult:
-        import time
-
         config = self.config
         stats = SearchStats()
         started = time.monotonic()
-        root_state = self.checker.start(statement)
-        root = _MNode(
-            state=root_state, key=self.checker.state_key(root_state), depth=0
-        )
-        seen: Set = {root.key}
-        stats.nodes_created = 1
+        expander = Expander(self.checker, stats, max_depth=config.max_depth)
+        root = expander.root(self.checker.start(statement), _MNode)
 
         def finish(status: Status, tactics=None) -> SearchResult:
             stats.wall_seconds = time.monotonic() - started
@@ -139,6 +122,7 @@ class MCTSSearch:
                 theorem_name=theorem_name,
                 tactics=list(tactics or []),
                 stats=stats,
+                failure=None if status is Status.PROVED else expander.failure,
             )
 
         while stats.queries < config.fuel:
@@ -160,34 +144,12 @@ class MCTSSearch:
             candidates = self.generator.generate(prompt, config.width)
             node.expanded = True
             stats.nodes_expanded += 1
-            for candidate in candidates:
-                stats.candidates += 1
-                check = self.checker.check(
-                    node.state, candidate.tactic, seen_keys=seen
+            expansion = expander.expand(node, candidates)
+            if expansion.proof is not None:
+                return finish(
+                    Status.PROVED, expansion.proof.tactics_from_root()
                 )
-                if check.verdict is Verdict.REJECTED:
-                    stats.rejected += 1
-                    continue
-                if check.verdict is Verdict.DUPLICATE:
-                    stats.duplicates += 1
-                    continue
-                if check.verdict is Verdict.TIMEOUT:
-                    stats.timeouts += 1
-                    continue
-                assert check.state is not None
-                child = _MNode(
-                    state=check.state,
-                    key=self.checker.state_key(check.state),
-                    depth=node.depth + 1,
-                    parent=node,
-                    tactic=candidate.tactic,
-                    prior=candidate.log_prob,
-                )
-                seen.add(child.key)
-                node.children.append(child)
-                stats.nodes_created += 1
-                if check.state.is_complete():
-                    return finish(Status.PROVED, child.tactics_from_root())
+            node.children = expansion.children
 
             # Evaluation + backpropagation.
             if node.children:
@@ -211,7 +173,7 @@ class MCTSSearch:
             explore = self.config.exploration * math.sqrt(
                 log_total / (child.visits + 1)
             )
-            return exploit + explore + 0.05 * child.prior
+            return exploit + explore + 0.05 * child.log_prob
 
         return max(node.children, key=uct)
 

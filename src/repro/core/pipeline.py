@@ -1,128 +1,125 @@
-"""Bounded in-flight generation with in-order commit.
+"""The search's one way to call the model.
 
-The serial best-first loop alternates *generate* (one blocking model
-query) and *validate* (checker calls), so the checker idles during
-every generation round-trip and the model idles during every
-validation pass.  :class:`GenerationPipeline` overlaps them: the
-search keeps up to ``depth`` generation calls in flight and validates
-the oldest finished expansion while the younger ones are still being
-generated.
+A best-first search at pipeline depth *k* keeps up to *k* selected
+nodes in flight before it validates the oldest
+(:mod:`repro.core.search`).  Their model queries all go through one
+:class:`GenerationPipeline`:
 
-Determinism contract (hard): results are **committed in submission
-order** — the pipeline is a reorder buffer keyed by the round sequence
-number assigned at :meth:`submit`.  Completion order (thread timing,
-batch composition) is unobservable: the search validates round *i*'s
-candidates before it looks at round *i+1*'s, so the tree — and with it
-every outcome record — evolves as a pure function of the selection
-sequence.  With ``depth=1`` the pipeline degenerates to the serial
-loop exactly: ``submit`` executes the call inline on the caller's
-thread (no worker, no queue, errors raise at the call site), which is
-what makes ``--pipeline-depth 1`` byte-identical to the classic loop.
+* :meth:`GenerationPipeline.submit` only queues a ``(prompt, k)``
+  query and returns its :class:`GenerationHandle`;
+* the first :meth:`GenerationHandle.result` on a queued query sends
+  every queued query to the model in one call — ``generate_batch`` for
+  several (one endpoint round-trip, see :mod:`repro.testing.latency`),
+  plain ``generate`` for one — at most ``depth`` queries per call.
 
-Execution backends, chosen per submission source:
+Everything runs on the caller's thread: no pool, no dispatcher, no
+batching window.  An in-process model therefore pays nothing for a
+deeper pipeline, while a remote one amortizes its round-trip over up to
+``depth`` queries.
 
-* ``submit_fn`` (preferred) — an async handle factory such as
-  :meth:`repro.service.batching.BatchingGenerator.submit`; concurrency
-  then lives in the batcher's dispatcher thread and co-travelling
-  rounds coalesce into one ``generate_batch`` round-trip;
-* a private thread pool of ``depth`` workers calling the blocking
-  ``generate_fn`` — the fallback when the generator has no async
-  surface.  Worker threads touch only prompt strings and candidate
-  lists; all kernel/checker work stays on the search thread.
+Determinism contract (hard): each handle yields exactly what a solo
+``generate(prompt, k)`` call would (the ``generate_batch`` contract of
+:mod:`repro.llm.interface`), and a failing query raises at *its own*
+handle's ``result()``: a batch call that fails is retried query by
+query, so one bad query cannot fail its neighbours.  The search reads
+handles in submission order, so errors, like results, surface in a
+deterministic order whatever the batch composition.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import List, Optional, Sequence
+
+from repro.llm.interface import Candidate, TacticGenerator, generate_batch
 
 __all__ = ["GenerationHandle", "GenerationPipeline"]
 
 
 class GenerationHandle:
-    """One in-flight generation round: its sequence number + result.
+    """One submitted query: its sequence number and, once sent, result."""
 
-    ``result()`` blocks until the round's candidates are available and
-    re-raises the call's exception, if any — in the caller's thread,
-    at commit time, so failures surface in deterministic (submission)
-    order no matter when they actually happened.
-    """
-
-    __slots__ = ("seq", "_value", "_error", "_future")
+    __slots__ = (
+        "seq", "prompt", "k", "_pipeline", "_done", "_value", "_error"
+    )
 
     def __init__(
-        self,
-        seq: int,
-        value: Optional[Sequence] = None,
-        future: Optional["Future"] = None,
+        self, pipeline: "GenerationPipeline", seq: int, prompt: str, k: int
     ) -> None:
         self.seq = seq
-        self._value = value
-        self._error: Optional[BaseException] = None
-        self._future = future
+        self.prompt = prompt
+        self.k = k
+        self._pipeline = pipeline
+        self._done = False
+        self._value: Sequence[Candidate] = ()
+        self._error: Optional[Exception] = None
 
-    def result(self) -> Sequence:
-        if self._future is not None:
-            return self._future.result()
+    def _resolve(
+        self,
+        value: Sequence[Candidate] = (),
+        error: Optional[Exception] = None,
+    ) -> None:
+        self._value = value
+        self._error = error
+        self._done = True
+
+    def result(self) -> Sequence[Candidate]:
+        """The query's candidates; re-raises the query's error.
+
+        Sends the pipeline's queued queries first if this one has not
+        gone out yet.
+        """
+        if not self._done:
+            self._pipeline.flush()
         if self._error is not None:
             raise self._error
-        return self._value  # type: ignore[return-value]
+        return self._value
 
 
 class GenerationPipeline:
-    """Issues generation calls with at most ``depth`` in flight.
+    """Queues one search's model queries and sends them together."""
 
-    The *caller* enforces the in-flight bound (it holds the handles);
-    the pipeline provides ordered submission and an execution backend.
-    ``depth <= 1`` is the degenerate serial mode: no thread is ever
-    created and ``submit`` runs the call inline.
-    """
-
-    def __init__(
-        self,
-        generate_fn: Callable[[str, int], Sequence],
-        depth: int,
-        submit_fn: Optional[Callable[[str, int], object]] = None,
-    ) -> None:
+    def __init__(self, generator: TacticGenerator, depth: int) -> None:
         if depth < 1:
             raise ValueError("pipeline depth must be >= 1")
-        self.generate_fn = generate_fn
+        self.generator = generator
         self.depth = depth
-        self.submit_fn = submit_fn if depth > 1 else None
         self._seq = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._queued: List[GenerationHandle] = []
 
     def submit(self, prompt: str, k: int) -> GenerationHandle:
-        """Start one generation round; returns its ordered handle."""
-        seq = self._seq
+        """Queue one query; it is sent when a result is first needed."""
+        handle = GenerationHandle(self, self._seq, prompt, k)
         self._seq += 1
-        if self.depth <= 1:
-            # Serial mode: execute inline.  An error raises here, at
-            # the same program point as the classic loop's blocking
-            # ``generate`` call.
-            return GenerationHandle(seq, value=self.generate_fn(prompt, k))
-        if self.submit_fn is not None:
-            pending = self.submit_fn(prompt, k)
-            handle = GenerationHandle(seq)
-            handle._future = pending  # duck-typed: has .result()
-            return handle
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.depth,
-                thread_name_prefix="genpipe",
-            )
-        return GenerationHandle(
-            seq, future=self._pool.submit(self.generate_fn, prompt, k)
-        )
+        self._queued.append(handle)
+        return handle
 
-    def close(self) -> None:
-        """Stop the worker pool (started rounds run to completion)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
+    def flush(self) -> None:
+        """Send every queued query, at most ``depth`` per model call."""
+        queued, self._queued = self._queued, []
+        for start in range(0, len(queued), self.depth):
+            self._send(queued[start : start + self.depth])
 
-    def __enter__(self) -> "GenerationPipeline":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def _send(self, batch: List[GenerationHandle]) -> None:
+        if len(batch) > 1:
+            try:
+                results = generate_batch(
+                    self.generator, [(h.prompt, h.k) for h in batch]
+                )
+                if len(results) != len(batch):
+                    raise ValueError(
+                        f"generate_batch returned {len(results)} results "
+                        f"for {len(batch)} queries"
+                    )
+            except Exception:
+                pass  # retried query by query below
+            else:
+                for handle, result in zip(batch, results):
+                    handle._resolve(result)
+                return
+        for handle in batch:
+            try:
+                result = self.generator.generate(handle.prompt, handle.k)
+            except Exception as exc:  # raised again by handle.result()
+                handle._resolve(error=exc)
+            else:
+                handle._resolve(result)

@@ -2,11 +2,11 @@
 
 The loop alternates the paper's two steps:
 
-* **Selection** — pop the unexpanded node with the highest cumulative
+* **Selection** — take the unexpanded node with the highest cumulative
   log-probability of its tactic prefix.
 * **Expansion** — query the model once (one unit of fuel) for up to
   ``width`` candidate tactics, validate each against the checker, and
-  append the valid ones as children.
+  append the valid ones as children (:mod:`repro.core.expand`).
 
 A tactic is invalid if it is rejected by the checker, recreates a
 proof state already in the tree, or exceeds the tactic timeout.
@@ -14,20 +14,21 @@ Search succeeds as soon as any child state is complete; it fails
 *stuck* when the frontier empties and *fuelout* when the query limit
 (paper: 128) is exhausted.
 
-Pipelined mode (``SearchConfig.pipeline_depth >= 1``) overlaps the two
-steps: up to ``pipeline_depth`` frontier nodes are reserved per round
-(virtual-loss selection — a reserved node leaves the queue, so the
-next reservation picks a sibling) and their generation calls run
-concurrently through :class:`repro.core.pipeline.GenerationPipeline`,
-while the checker validates the oldest finished round.  Results are
-committed strictly in reservation order (a reorder buffer keyed by
-round sequence number), so the tree — and every outcome record — is a
-pure function of the selection sequence: ``pipeline_depth=1`` is
-byte-identical to the classic serial loop, and any depth is
-run-to-run deterministic.  At depth > 1 selection is speculative
-(round *i+1* is chosen before round *i*'s children exist), so the
-*exploration order* may differ from serial — wall-clock drops,
-coverage is pinned by ``tests/eval/test_pipeline_determinism.py``.
+Pipelining (``SearchConfig.pipeline_depth``, default 1): up to
+``pipeline_depth`` selected nodes are kept in flight.  Selection
+*reserves* a node (virtual loss — a reserved node leaves the queue, so
+the next reservation picks a sibling), and expansions are committed
+strictly in reservation order, so the tree — and every outcome record —
+is a pure function of the selection sequence.  Depth 1 is the paper's
+serial loop.  At depth *k*, when the oldest reserved node's query has
+not gone out yet, the queries of every reserved node go to the model
+together, in one call through
+:class:`repro.core.pipeline.GenerationPipeline` — the search's only way
+to call the model — so a batching endpoint charges one round-trip for up
+to *k* queries, and no thread is started.  At depth > 1 selection is
+speculative (round *i+1* is chosen before round *i*'s children exist),
+so the *exploration order* may differ from depth 1 — coverage is pinned
+by ``tests/eval/test_pipeline_determinism.py``.
 """
 
 from __future__ import annotations
@@ -35,18 +36,14 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Optional, Sequence
 
+from repro.core.expand import NO_CANDIDATES_TACTIC, Expander
 from repro.core.frontier import make_frontier
 from repro.core.node import Node
 from repro.core.pipeline import GenerationHandle, GenerationPipeline
-from repro.core.result import (
-    FailureContext,
-    SearchResult,
-    SearchStats,
-    Status,
-)
-from repro.core.transcript import CandidateEvent, ExpansionEvent, Transcript
+from repro.core.result import SearchResult, SearchStats, Status
+from repro.core.transcript import ExpansionEvent, Transcript
 from repro.deadline import Deadline
 from repro.errors import GenerationError
 from repro.kernel.goals import ProofState
@@ -58,14 +55,6 @@ from repro.serapi.checker import ProofChecker, Verdict
 __all__ = ["SearchConfig", "BestFirstSearch", "NO_CANDIDATES_TACTIC"]
 
 PromptFn = Callable[[ProofState, Sequence[str]], str]
-
-#: Sentinel ``FailureContext.failed_tactic`` recorded when an expansion
-#: produced no usable candidates at all (the model returned an empty
-#: list, or only blank tactics).  Without it a search that starves this
-#: way ends STUCK with ``failure=None`` and the repair engine — which
-#: needs a failure frontier to resume from — would skip a theorem that
-#: is in fact repair-eligible.
-NO_CANDIDATES_TACTIC = "<no candidates>"
 
 
 @dataclass(frozen=True)
@@ -82,14 +71,12 @@ class SearchConfig:
     # outcome when it expires (checked between expansions), instead of
     # running unbounded.  None = no deadline (the paper's setting).
     theorem_deadline: Optional[float] = None
-    # Intra-search pipelining: generation calls kept in flight at once.
-    # 0 (default) runs the classic serial loop; 1 runs the pipelined
-    # executor with a single slot (byte-identical records to serial —
-    # the validation mode); >= 2 overlaps generation and checking.
+    # Selected nodes kept in flight (repro.core.pipeline): 1 is the
+    # paper's serial loop; k >= 2 sends up to k model queries per call.
     # Deliberately NOT part of TheoremTask.cache_key() — like `trace`,
     # it is an execution knob, not a sweep cell coordinate (see
     # repro.eval.config.ExperimentConfig.pipeline_depth).
-    pipeline_depth: int = 0
+    pipeline_depth: int = 1
 
 
 class BestFirstSearch:
@@ -102,33 +89,17 @@ class BestFirstSearch:
         config: Optional[SearchConfig] = None,
         metrics=None,
         clock: Callable[[], float] = time.monotonic,
-        generate_fn: Optional[
-            Callable[[str, int], Sequence["object"]]
-        ] = None,
         tracer=None,
-        submit_fn: Optional[Callable[[str, int], object]] = None,
     ) -> None:
         """``metrics`` is an optional duck-typed sink (an object with
         ``add_time(stage, seconds)``, e.g.
         :class:`repro.eval.instrumentation.Metrics`) that receives
         prompt-build and generation timings.  ``clock`` feeds the
         wall-clock stats and the per-theorem deadline (injectable for
-        timeout tests).  ``generate_fn`` overrides how an expansion
-        queries the model (default: ``generator.generate``); the
-        service layer injects a handle that routes through its shared
-        micro-batcher, with identical semantics — the handle must obey
-        the determinism contract of
-        :func:`repro.llm.interface.generate_batch`.  ``submit_fn`` is
-        the optional *asynchronous* counterpart used by the pipelined
-        mode: ``submit_fn(prompt, k)`` starts a generation call and
-        returns a handle with ``result()`` (e.g.
-        :meth:`repro.service.batching.BatchingGenerator.submit`); when
-        absent, the generator's own ``submit`` method is used if it has
-        one and ``generate_fn`` was not overridden, else the pipeline
-        falls back to a small thread pool over ``generate_fn``.
-        ``tracer`` is an optional :class:`repro.obs.trace.Tracer`
-        recording selection / expansion spans; the default no-op
-        tracer costs nothing and leaves outcomes untouched."""
+        timeout tests).  ``tracer`` is an optional
+        :class:`repro.obs.trace.Tracer` recording selection / expansion
+        spans; the default no-op tracer costs nothing and leaves
+        outcomes untouched."""
         if not getattr(generator, "provides_log_probs", False):
             raise GenerationError(
                 f"model {generator.name} provides no log-probabilities; "
@@ -139,18 +110,7 @@ class BestFirstSearch:
         self.config = config or SearchConfig()
         self.metrics = metrics
         self.clock = clock
-        self.generate = generate_fn or generator.generate
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.submit_fn = submit_fn
-        self._default_generate = generate_fn is None
-
-    def _resolve_submit_fn(self) -> Optional[Callable[[str, int], object]]:
-        """The async submission route for the pipelined mode, if any."""
-        if self.submit_fn is not None:
-            return self.submit_fn
-        if self._default_generate:
-            return getattr(self.generator, "submit", None)
-        return None
 
     def prove(
         self,
@@ -173,6 +133,8 @@ class BestFirstSearch:
         truncates the prefix there.
         """
         config = self.config
+        tracer = self.tracer
+        metrics = self.metrics
         stats = SearchStats()
         started = self.clock()
         deadline = (
@@ -180,18 +142,16 @@ class BestFirstSearch:
             if config.theorem_deadline is not None
             else None
         )
-
-        root_state = self.checker.start(statement)
-        root = Node(
-            state=root_state,
-            key=self.checker.state_key(root_state),
-            cum_log_prob=0.0,
-            depth=0,
+        pipeline = GenerationPipeline(self.generator, config.pipeline_depth)
+        expander = Expander(
+            self.checker,
+            stats,
+            dedup=config.dedup_states,
+            max_depth=config.max_depth,
         )
+        root = expander.root(self.checker.start(statement))
         frontier = make_frontier(config.frontier)
         frontier.push(root)
-        seen: Set = {root.key}
-        stats.nodes_created = 1
 
         # Replay the seed prefix: one chain of nodes below the root.
         # Prefix node at depth d scores +d*1e-6 — strictly above the
@@ -204,37 +164,18 @@ class BestFirstSearch:
         node = root
         for offset, tactic in enumerate(initial_tactics):
             check = self.checker.check(
-                node.state,
-                tactic,
-                seen_keys=seen if config.dedup_states else None,
+                node.state, tactic, seen_keys=expander.seen_keys
             )
             if check.verdict is not Verdict.VALID or check.state is None:
                 break
-            child = Node(
-                state=check.state,
-                key=self.checker.state_key(check.state),
-                cum_log_prob=(offset + 1) * 1e-6,
-                depth=node.depth + 1,
-                parent=node,
-                tactic=tactic,
+            node = expander.child(
+                node, check.state, tactic, (offset + 1) * 1e-6
             )
-            seen.add(child.key)
-            stats.nodes_created += 1
             if check.state.is_complete():
                 # The prefix already closes the proof (possible when a
                 # timed-out search is resumed with a longer budget).
-                node = child
                 break
-            frontier.push(child)
-            node = child
-
-        tracer = self.tracer
-
-        # Failure frontier: the deepest (then best-scoring) node whose
-        # expansion produced a rejection/timeout, with the top-ranked
-        # offending candidate — what a repair round feeds back.
-        best_fail: Optional[FailureContext] = None
-        best_fail_rank = (-1, 0.0)
+            frontier.push(node)
 
         def finish(status: Status, tactics=None) -> SearchResult:
             stats.wall_seconds = self.clock() - started
@@ -254,246 +195,38 @@ class BestFirstSearch:
                 theorem_name=theorem_name,
                 tactics=list(tactics or []),
                 stats=stats,
-                failure=None if status is Status.PROVED else best_fail,
+                failure=None if status is Status.PROVED else expander.failure,
             )
 
-        def process_candidates(node, candidates, event) -> Optional[Node]:
-            """Validate one expansion's candidates in rank order.
+        # Reserved nodes, oldest first, and the handles of the queries
+        # already sent — always those of the oldest reserved nodes.
+        reserved: Deque[Node] = deque()
+        sent: Deque[GenerationHandle] = deque()
 
-            Pushes valid children, maintains the failure frontier, and
-            returns the proof-completing child if one appears.  Shared
-            verbatim by the serial and pipelined loops — the checker
-            call sequence is the determinism-sensitive part.
-            """
-            nonlocal best_fail, best_fail_rank
-            node_fail: Optional[Tuple[str, str, str]] = None
-            for candidate in candidates:
-                stats.candidates += 1
-                check = self.checker.check(
-                    node.state,
-                    candidate.tactic,
-                    seen_keys=seen if config.dedup_states else None,
-                )
-                if event is not None:
-                    event.candidates.append(
-                        CandidateEvent(
-                            tactic=candidate.tactic,
-                            log_prob=candidate.log_prob,
-                            verdict=check.verdict.value,
-                            message=check.message,
-                        )
-                    )
-                if check.verdict is Verdict.REJECTED:
-                    stats.rejected += 1
-                    if node_fail is None:
-                        node_fail = (
-                            candidate.tactic,
-                            check.message,
-                            check.verdict.value,
-                        )
-                    continue
-                if check.verdict is Verdict.DUPLICATE:
-                    stats.duplicates += 1
-                    continue
-                if check.verdict is Verdict.TIMEOUT:
-                    stats.timeouts += 1
-                    if node_fail is None:
-                        node_fail = (
-                            candidate.tactic,
-                            check.message,
-                            check.verdict.value,
-                        )
-                    continue
-                assert check.state is not None
-                child = Node(
-                    state=check.state,
-                    key=self.checker.state_key(check.state),
-                    cum_log_prob=node.cum_log_prob + candidate.log_prob,
-                    depth=node.depth + 1,
-                    parent=node,
-                    tactic=candidate.tactic,
-                )
-                seen.add(child.key)
-                stats.nodes_created += 1
-                if check.state.is_complete():
-                    return child
-                if child.depth < config.max_depth:
-                    frontier.push(child)
-
-            if (node_fail is None or not node_fail[0].strip()) and all(
-                not candidate.tactic.strip() for candidate in candidates
-            ):
-                # Zero-candidate expansion (empty list, or only blank
-                # tactics — e.g. repair feedback suppressed everything
-                # the model had): without a recorded failure this node
-                # would leave the search STUCK with failure=None and
-                # therefore repair-ineligible.  Record a sentinel so
-                # the failure frontier survives.
-                node_fail = (
-                    NO_CANDIDATES_TACTIC,
-                    "model returned no usable candidates",
-                    Verdict.REJECTED.value,
-                )
-
-            if node_fail is not None:
-                rank = (node.depth, node.cum_log_prob)
-                if rank > best_fail_rank:
-                    best_fail_rank = rank
-                    tactic, message, verdict = node_fail
-                    best_fail = FailureContext(
-                        prefix=tuple(node.tactics_from_root()),
-                        goal=node.state.render()[:1000],
-                        depth=node.depth,
-                        failed_tactic=tactic,
-                        message=message,
-                        verdict=verdict,
-                    )
-            return None
-
-        if node is not root and node.state.is_complete():
-            with tracer.span("search", theorem=theorem_name) as search_span:
-                return finish(Status.PROVED, node.tactics_from_root())
-
-        metrics = self.metrics
-        with tracer.span("search", theorem=theorem_name) as search_span:
-            if config.pipeline_depth >= 1:
-                return self._pipelined_loop(
-                    config,
-                    stats,
-                    deadline,
-                    frontier,
-                    prompt_fn,
-                    transcript,
-                    finish,
-                    process_candidates,
-                )
-            while True:
-                # The per-theorem deadline is polled once per expansion
-                # — individual tactics are already bounded by the 5 s
-                # tactic deadline, so one check per model query caps
-                # the overrun at a single expansion's work.
-                if deadline is not None and deadline.expired():
-                    return finish(Status.TIMEOUT)
-                # Fuel is checked *before* popping: on FUELOUT the next
-                # node stays in the frontier, so the frontier is a
-                # faithful picture of the unexpanded tree for
-                # resume/diagnostics.
-                if stats.queries >= config.fuel:
-                    return finish(Status.FUELOUT)
-                with tracer.span("select") as select_span:
-                    node = frontier.pop()
-                    if tracer.enabled and node is not None:
-                        select_span.set(
-                            depth=node.depth,
-                            score=round(node.cum_log_prob, 6),
-                        )
-                if node is None:
-                    return finish(Status.STUCK)
-
-                # Expansion: one model query.
-                with tracer.span("expand") as expand_span:
-                    if tracer.enabled:
-                        # Whitespace-collapsed so the one-line preview
-                        # renders cleanly in the trace tree.
-                        goal = " ".join(node.state.render().split())
-                        expand_span.set(
-                            query=stats.queries + 1,
-                            fuel=config.fuel,
-                            depth=node.depth,
-                            score=round(node.cum_log_prob, 6),
-                            goal=goal[:160],
-                        )
-                    t0 = self.clock()
-                    with tracer.span("prompt_build"):
-                        prompt = prompt_fn(
-                            node.state, node.tactics_from_root()
-                        )
-                    if metrics is not None:
-                        metrics.add_time("prompt_build", self.clock() - t0)
-                    stats.queries += 1
-                    t0 = self.clock()
-                    with tracer.span("generation") as generation_span:
-                        candidates = self.generate(prompt, config.width)
-                        if tracer.enabled:
-                            generation_span.set(candidates=len(candidates))
-                    if metrics is not None:
-                        metrics.add_time("generation", self.clock() - t0)
-                    node.expanded = True
-                    stats.nodes_expanded += 1
-
-                    event = None
-                    if transcript is not None:
-                        event = ExpansionEvent(
-                            node_depth=node.depth,
-                            node_score=node.cum_log_prob,
-                            goal_preview=node.state.render()[:200],
-                        )
-
-                    proved = process_candidates(node, candidates, event)
-                    if proved is not None:
-                        if transcript is not None and event is not None:
-                            transcript.record(event)
-                        return finish(
-                            Status.PROVED, proved.tactics_from_root()
-                        )
-
-                if transcript is not None and event is not None:
-                    transcript.record(event)
-
-    def _pipelined_loop(
-        self,
-        config: SearchConfig,
-        stats: SearchStats,
-        deadline: Optional[Deadline],
-        frontier,
-        prompt_fn: PromptFn,
-        transcript: Optional[Transcript],
-        finish,
-        process_candidates,
-    ) -> SearchResult:
-        """The pipelined select/expand loop (``pipeline_depth >= 1``).
-
-        Fill phase: reserve frontier nodes and start their generation
-        calls until ``pipeline_depth`` rounds are in flight (or fuel /
-        frontier runs out).  Commit phase: take the *oldest* round,
-        wait for its candidates, and validate them while the younger
-        rounds keep generating.  The in-order commit makes the loop a
-        deterministic function of the selection sequence; at depth 1
-        the fill-one/commit-one cadence replays the serial loop's
-        event order exactly.
-
-        Exits: PROVED and TIMEOUT release any still-reserved nodes
-        back to the frontier (in reverse reservation order, restoring
-        it exactly); FUELOUT and STUCK only occur with an empty
-        pipeline, after every started round was committed — fuel
-        already spent on a query is always followed by its validation,
-        except when the search ends first.
-        """
-        tracer = self.tracer
-        metrics = self.metrics
-        pipeline = GenerationPipeline(
-            self.generate,
-            config.pipeline_depth,
-            submit_fn=self._resolve_submit_fn(),
-        )
-        inflight: Deque[Tuple[Node, GenerationHandle]] = deque()
-
-        def release_inflight() -> None:
+        def release_reserved() -> None:
             # Reverse order restores the exact frontier (see
             # repro.core.frontier docstring).
-            for pending_node, _handle in reversed(inflight):
-                frontier.release(pending_node)
-            inflight.clear()
+            for pending in reversed(reserved):
+                frontier.release(pending)
 
-        try:
+        with tracer.span("search", theorem=theorem_name) as search_span:
+            if node is not root and node.state.is_complete():
+                return finish(Status.PROVED, node.tactics_from_root())
             while True:
-                # Fill: start rounds until the pipeline is full.
-                while len(inflight) < config.pipeline_depth:
-                    # Deadline first, then fuel — the serial loop's
-                    # status priority, polled once per started round.
+                # Fill: reserve frontier nodes until the pipeline is full.
+                while len(reserved) < config.pipeline_depth:
+                    # The per-theorem deadline is polled once per
+                    # reservation — individual tactics are already
+                    # bounded by the 5 s tactic deadline, so one check
+                    # per model query caps the overrun at a single
+                    # expansion's work.
                     if deadline is not None and deadline.expired():
-                        release_inflight()
+                        release_reserved()
                         return finish(Status.TIMEOUT)
+                    # Fuel is checked before reserving: on FUELOUT the
+                    # next node stays in the frontier, so the frontier
+                    # is a faithful picture of the unexpanded tree for
+                    # resume/diagnostics.
                     if stats.queries >= config.fuel:
                         break
                     with tracer.span("select") as select_span:
@@ -502,47 +235,52 @@ class BestFirstSearch:
                             select_span.set(
                                 depth=node.depth,
                                 score=round(node.cum_log_prob, 6),
-                                round=stats.queries,
                             )
                     if node is None:
                         break
-                    t0 = self.clock()
-                    with tracer.span("prompt_build"):
-                        prompt = prompt_fn(
-                            node.state, node.tactics_from_root()
-                        )
-                    if metrics is not None:
-                        metrics.add_time("prompt_build", self.clock() - t0)
                     stats.queries += 1
-                    inflight.append(
-                        (node, pipeline.submit(prompt, config.width))
-                    )
+                    reserved.append(node)
 
-                if not inflight:
-                    # Nothing running and nothing startable: terminal.
+                if not reserved:
+                    # Nothing in flight and nothing to reserve: terminal.
                     if stats.queries >= config.fuel:
                         return finish(Status.FUELOUT)
                     return finish(Status.STUCK)
 
-                # Commit: validate the oldest round, in flight or not.
-                node, handle = inflight.popleft()
+                # Commit: expand the oldest reserved node.
+                node = reserved[0]
                 with tracer.span("expand") as expand_span:
                     if tracer.enabled:
+                        # Whitespace-collapsed so the one-line preview
+                        # renders cleanly in the trace tree.
                         goal = " ".join(node.state.render().split())
                         expand_span.set(
-                            query=handle.seq + 1,
+                            query=stats.nodes_expanded + 1,
                             fuel=config.fuel,
                             depth=node.depth,
                             score=round(node.cum_log_prob, 6),
                             goal=goal[:160],
-                            round=handle.seq,
-                            inflight=len(inflight) + 1,
+                            inflight=len(reserved),
                         )
+                    if not sent:
+                        # Its query has not gone out: build the prompt
+                        # of every reserved node, so the result() below
+                        # sends all of them in one model call.
+                        for pending in reserved:
+                            t0 = self.clock()
+                            with tracer.span("prompt_build"):
+                                prompt = prompt_fn(
+                                    pending.state, pending.tactics_from_root()
+                                )
+                            if metrics is not None:
+                                metrics.add_time(
+                                    "prompt_build", self.clock() - t0
+                                )
+                            sent.append(pipeline.submit(prompt, config.width))
+                    reserved.popleft()
                     t0 = self.clock()
                     with tracer.span("generation") as generation_span:
-                        # Blocks only until *this* round is done; the
-                        # younger rounds keep generating meanwhile.
-                        candidates = handle.result()
+                        candidates = sent.popleft().result()
                         if tracer.enabled:
                             generation_span.set(candidates=len(candidates))
                     if metrics is not None:
@@ -558,17 +296,12 @@ class BestFirstSearch:
                             node_score=node.cum_log_prob,
                             goal_preview=node.state.render()[:200],
                         )
-
-                    proved = process_candidates(node, candidates, event)
-                    if proved is not None:
-                        if transcript is not None and event is not None:
-                            transcript.record(event)
-                        release_inflight()
+                        transcript.record(event)
+                    expansion = expander.expand(node, candidates, event)
+                    if expansion.proof is not None:
+                        release_reserved()
                         return finish(
-                            Status.PROVED, proved.tactics_from_root()
+                            Status.PROVED, expansion.proof.tactics_from_root()
                         )
-
-                if transcript is not None and event is not None:
-                    transcript.record(event)
-        finally:
-            pipeline.close()
+                    for child in expansion.children:
+                        frontier.push(child)

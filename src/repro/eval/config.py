@@ -51,12 +51,11 @@ class ExperimentConfig:
     # TaskResult.  Deliberately NOT part of TheoremTask.cache_key() —
     # tracing must never change an outcome record.
     trace: bool = False
-    # Intra-search pipelining (repro.core.pipeline): generation calls
-    # kept in flight per search.  0 = classic serial loop; 1 = the
-    # pipelined executor, byte-identical to serial (validation mode);
-    # >= 2 overlaps generation with checking.  Like `trace`, this is an
+    # Intra-search pipelining (repro.core.pipeline): selected nodes kept
+    # in flight per search.  1 = the paper's serial loop; k >= 2 sends
+    # up to k model queries per call.  Like `trace`, this is an
     # execution knob, deliberately NOT part of TheoremTask.cache_key():
-    # depth 1 is bit-equal to serial, and any depth leaves per-theorem
-    # coverage unchanged on the golden corpus
+    # depth 1 replays the golden stores byte for byte, and any depth
+    # leaves per-theorem coverage unchanged on the golden corpus
     # (tests/eval/test_pipeline_determinism.py pins both).
-    pipeline_depth: int = 0
+    pipeline_depth: int = 1

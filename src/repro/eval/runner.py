@@ -171,23 +171,15 @@ class Runner:
         theorem_name: str,
         hinted: bool,
         metrics: Optional[Metrics],
-        pipeline_depth: int = 0,
     ):
         """Apply the fault-tolerance stack to a raw generator.
 
-        Inner to outer: fault injection (chaos sweeps only), then — at
-        ``pipeline_depth >= 2`` — the intra-search micro-batcher, then
-        the resilient retry/breaker/fallback wrapper.  Injected faults
-        hit the wrapper exactly like a flaky real endpoint would, and
-        the batcher sits *below* the resilient layer for the same
-        reason the service stacks that way: a retry re-enqueues one
-        element, not a whole batch.  The wrapper is built fresh **per
-        task**, so breaker state can never leak between tasks and
-        records stay order-independent.
-
-        Returns ``(generator, batcher)``; ``batcher`` is the owned
-        intra-search :class:`BatchingGenerator` (or None) that the
-        caller must ``close()`` when the task finishes.
+        Inner to outer: fault injection (chaos sweeps only), then the
+        resilient retry/breaker/fallback wrapper, at every pipeline
+        depth.  Injected faults hit the wrapper exactly like a flaky
+        real endpoint would.  The wrapper is built fresh **per task**,
+        so breaker state can never leak between tasks and records stay
+        order-independent.
         """
         plan = self.fault_plan
         if plan is not None and plan.model_faults_active():
@@ -196,17 +188,6 @@ class Runner:
                 plan,
                 context=f"{theorem_name}|{model.name}|{int(hinted)}",
             )
-        batcher = None
-        if pipeline_depth >= 2:
-            # Imported here: repro.service.server imports this module
-            # (the composition root), so a top-level import would be
-            # circular through the service package.
-            from repro.service.batching import BatchingGenerator
-
-            batcher = BatchingGenerator.for_search(
-                model, pipeline_depth, metrics=metrics
-            )
-            model = batcher
         if getattr(self.config, "resilient", True):
             fallback_name = getattr(self.config, "fallback_model", None)
             model = ResilientGenerator(
@@ -216,7 +197,7 @@ class Runner:
                 ),
                 metrics=metrics,
             )
-        return model, batcher
+        return model
 
     def run_theorem(
         self,
@@ -234,12 +215,7 @@ class Runner:
         model = model_override if model_override is not None else get_model(
             model_name
         )
-        # The execution knob rides in from ExperimentConfig, never from
-        # the task (it is outside the cache key — see eval.config).
-        pipeline_depth = getattr(self.config, "pipeline_depth", 0)
-        model, batcher = self._wrap_model(
-            model, theorem.name, hinted, metrics, pipeline_depth
-        )
+        model = self._wrap_model(model, theorem.name, hinted, metrics)
         search_config = search_config or SearchConfig(
             width=self.config.width,
             fuel=self.config.fuel,
@@ -248,10 +224,11 @@ class Runner:
             dedup_states=self.config.dedup_states,
             theorem_deadline=getattr(self.config, "theorem_deadline", None),
         )
-        if pipeline_depth >= 1 and search_config.pipeline_depth == 0:
-            search_config = replace(
-                search_config, pipeline_depth=pipeline_depth
-            )
+        # The pipeline depth rides in from ExperimentConfig, never from
+        # the task (it is outside the cache key — see eval.config).
+        search_config = replace(
+            search_config, pipeline_depth=self.config.pipeline_depth
+        )
         tracer = tracer if tracer is not None else NULL_TRACER
         env = self.project.env_for(theorem)
         checker = ProofChecker(
@@ -271,23 +248,19 @@ class Runner:
         search = BestFirstSearch(
             checker, model, search_config, metrics=metrics, tracer=tracer
         )
-        try:
-            if repair_rounds > 0:
-                engine = RepairEngine(
-                    search,
-                    builder,
-                    repair_rounds,
-                    metrics=metrics,
-                    tracer=tracer,
-                )
-                result = engine.prove(theorem.name, theorem.statement)
-            else:
-                result = search.prove(
-                    theorem.name, theorem.statement, builder.build
-                )
-        finally:
-            if batcher is not None:
-                batcher.close()
+        if repair_rounds > 0:
+            engine = RepairEngine(
+                search,
+                builder,
+                repair_rounds,
+                metrics=metrics,
+                tracer=tracer,
+            )
+            result = engine.prove(theorem.name, theorem.statement)
+        else:
+            result = search.prove(
+                theorem.name, theorem.statement, builder.build
+            )
         outcome = TheoremOutcome(
             theorem=theorem,
             model=model_name,

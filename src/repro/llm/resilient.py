@@ -51,6 +51,7 @@ from repro.llm.interface import (
     Candidate,
     GenerationRequest,
     TacticGenerator,
+    generate_batch,
 )
 
 __all__ = ["RetryPolicy", "ResilientGenerator", "stable_jitter"]
@@ -224,7 +225,7 @@ class ResilientGenerator:
                     )
                 )
             try:
-                result = self._call_primary(prompt, k)
+                result = self._call_primary(self.primary.generate, prompt, k)
             except TransientModelError as exc:
                 last_error = exc
                 self._note_failure()
@@ -238,26 +239,36 @@ class ResilientGenerator:
     def generate_batch(
         self, requests: "List[GenerationRequest]"
     ) -> List[List[Candidate]]:
-        """Element-wise batched generation under the retry discipline.
+        """Batched generation under the retry discipline.
 
-        Each element goes through the full :meth:`generate` path —
-        per-query timeout, retries, breaker, fallback — so one failing
-        element degrades alone instead of poisoning the batch.  This
-        trades away cross-element amortization, which is why the
-        service stacks the micro-batcher *below* this wrapper (one
-        resilient wrapper per job, one shared batcher per model).
+        While the breaker is closed the batch goes to the primary as one
+        call — one round-trip for a batching endpoint.  If that call
+        fails, every element goes through the full :meth:`generate`
+        path — per-query timeout, retries, breaker, fallback — so one
+        failing element degrades alone instead of poisoning the batch.
+        The failed batch call itself is not held against the breaker:
+        the element calls that follow account for the endpoint's health
+        exactly as solo queries would.
         """
+        if not self.breaker_open():
+            try:
+                results = self._call_primary(
+                    generate_batch, self.primary, requests
+                )
+            except TransientModelError:
+                pass
+            else:
+                self._note_success()
+                return results
         return [self.generate(prompt, k) for prompt, k in requests]
 
-    def _call_primary(self, prompt: str, k: int) -> List[Candidate]:
+    def _call_primary(self, call: Callable, *args):
         timeout = self.policy.query_timeout
         started = self.clock()
         if timeout is not None and self.policy.hard_timeout:
-            result = _call_with_hard_timeout(
-                self.primary.generate, (prompt, k), timeout
-            )
+            result = _call_with_hard_timeout(call, args, timeout)
         else:
-            result = self.primary.generate(prompt, k)
+            result = call(*args)
         if timeout is not None and self.clock() - started > timeout:
             # The call returned, but only after blowing its budget — a
             # real client would have abandoned it (stalled connection).

@@ -115,9 +115,7 @@ class RepairEngine:
             config,
             metrics=base.metrics,
             clock=base.clock,
-            generate_fn=base.generate,
             tracer=base.tracer,
-            submit_fn=base.submit_fn,
         )
 
     def prove(self, theorem_name: str, statement: Term) -> SearchResult:

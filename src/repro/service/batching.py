@@ -33,12 +33,7 @@ single dispatcher thread.
 Two entry points share the machinery: the blocking ``generate`` (one
 caller, parks until its element returns) and the asynchronous
 ``submit`` (returns a :class:`Submission` handle whose ``result()``
-parks instead) — the latter is what the intra-search pipeline
-(:mod:`repro.core.pipeline`) plugs in as ``submit_fn``, and
-:meth:`BatchingGenerator.for_search` builds an instance sized for one
-pipelined search: the co-travelling rounds of a fill phase arrive
-within microseconds, so a short window coalesces them into a single
-``generate_batch`` round-trip.
+parks instead).
 """
 
 from __future__ import annotations
@@ -96,9 +91,7 @@ class Submission:
     ``result()`` blocks until the dispatcher (or the inline solo path)
     fills the element, then returns the candidates or re-raises the
     element's own error — semantically identical to a blocking
-    ``generate`` call split at the park point.  Duck-type-compatible
-    with ``concurrent.futures.Future.result`` as far as
-    :class:`repro.core.pipeline.GenerationHandle` requires.
+    ``generate`` call split at the park point.
     """
 
     __slots__ = ("_pending",)
@@ -209,8 +202,7 @@ class BatchingGenerator:
         callers; the caller parks at ``Submission.result()`` instead
         of here.  With batching disabled (``max_batch_size=1``) the
         call executes inline and the returned handle is already
-        resolved, so errors still surface only at ``result()`` — the
-        deterministic commit point of the pipelined search.
+        resolved, so errors still surface only at ``result()``.
         """
         pending = _Pending(prompt, k, self.clock())
         if self.policy.max_batch_size <= 1:
@@ -235,34 +227,6 @@ class BatchingGenerator:
     ) -> List[List[Candidate]]:
         """Pre-formed batches skip the window and dispatch directly."""
         return generate_batch(self.inner, requests)
-
-    # ------------------------------------------------------------------
-    # Intra-search coalescing
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def for_search(
-        cls,
-        inner: TacticGenerator,
-        depth: int,
-        batch_window: float = 0.01,
-        clock: Callable[[], float] = time.monotonic,
-        metrics=None,
-    ) -> "BatchingGenerator":
-        """A coalescer sized for one pipelined search.
-
-        ``max_batch_size`` equals the pipeline depth: a fill phase
-        submits at most ``depth`` rounds back-to-back, so a full fill
-        dispatches immediately while stragglers (steady-state single
-        refills) wait at most ``batch_window`` for co-travellers.
-        The window should stay small relative to the backend's
-        per-request latency — it is pure added latency when nothing
-        coalesces.
-        """
-        policy = BatchPolicy(
-            batch_window=batch_window, max_batch_size=max(1, depth)
-        )
-        return cls(inner, policy, clock=clock, metrics=metrics)
 
     # ------------------------------------------------------------------
     # Dispatcher

@@ -222,12 +222,10 @@ class ServerConfig:
     # Span-tree JSONL for every executed job (repro.obs); None = no
     # tracing, and job execution pays no tracing cost at all.
     trace_path: Optional[str] = None
-    # Intra-search pipelining per job (repro.core.pipeline): generation
-    # calls in flight within one search.  0 = serial loop.  Composes
-    # with the cross-search micro-batcher: pipelined rounds from one
-    # job coalesce intra-search first, and the resulting dispatches
-    # still share the per-model batcher with other jobs.
-    pipeline_depth: int = 0
+    # Intra-search pipelining per job (repro.core.pipeline): selected
+    # nodes kept in flight within one search.  1 = serial loop; k >= 2
+    # sends up to k of the job's queries to the model in one batch.
+    pipeline_depth: int = 1
 
 
 class ProverService:

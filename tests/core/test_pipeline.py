@@ -1,128 +1,121 @@
-"""GenerationPipeline: inline/threaded/submit_fn backends + ordering."""
+"""GenerationPipeline: queued queries, one model call, per-query results."""
 
 import threading
 
 import pytest
 
-from repro.core.pipeline import GenerationHandle, GenerationPipeline
+from repro.core.pipeline import GenerationPipeline
+from repro.llm import Candidate
+
+
+class _Recorder:
+    """Answers each prompt with its upper-cased text; logs every call."""
+
+    name = "recorder"
+    context_window = 10**9
+    provides_log_probs = True
+
+    def __init__(self, fail_on=()):
+        self.fail_on = set(fail_on)
+        self.calls = []  # (method, prompts, calling thread)
+
+    def _answer(self, prompt, k):
+        if prompt in self.fail_on:
+            raise RuntimeError(f"endpoint refused {prompt!r}")
+        return _answer(prompt.upper(), k)
+
+    def generate(self, prompt, k):
+        self.calls.append(("generate", [prompt], threading.current_thread()))
+        return self._answer(prompt, k)
+
+    def generate_batch(self, requests):
+        prompts = [prompt for prompt, _ in requests]
+        self.calls.append(
+            ("generate_batch", prompts, threading.current_thread())
+        )
+        return [self._answer(prompt, k) for prompt, k in requests]
+
+    def methods(self):
+        return [(method, prompts) for method, prompts, _ in self.calls]
+
+
+def _answer(text, k=1):
+    return [Candidate(text, -1.0)] * k
 
 
 def test_depth_below_one_rejected():
     with pytest.raises(ValueError):
-        GenerationPipeline(lambda p, k: [], 0)
+        GenerationPipeline(_Recorder(), 0)
 
 
 def test_depth1_executes_inline_without_threads():
-    calls = []
-
-    def gen(prompt, k):
-        calls.append((prompt, k, threading.current_thread().name))
-        return [prompt.upper()]
-
-    pipeline = GenerationPipeline(gen, 1)
+    model = _Recorder()
+    threads = threading.active_count()
+    pipeline = GenerationPipeline(model, 1)
     handle = pipeline.submit("a", 4)
-    # Already executed, on the caller's thread, before result().
-    assert calls == [("a", 4, threading.current_thread().name)]
-    assert handle.result() == ["A"]
-    assert pipeline._pool is None
-    pipeline.close()
+    # Submitting only queues; the call waits until a result is needed.
+    assert model.calls == []
+    assert handle.result() == _answer("A", 4)
+    # One solo call, on the caller's thread; no thread was started.
+    assert model.calls == [("generate", ["a"], threading.current_thread())]
+    assert threading.active_count() == threads
 
 
-def test_depth1_errors_raise_at_submit():
-    def gen(prompt, k):
-        raise RuntimeError("boom")
-
-    pipeline = GenerationPipeline(gen, 1)
+def test_errors_raise_at_result():
+    pipeline = GenerationPipeline(_Recorder(fail_on={"a"}), 1)
+    handle = pipeline.submit("a", 1)
     with pytest.raises(RuntimeError):
-        pipeline.submit("a", 1)
+        handle.result()
+    with pytest.raises(RuntimeError):
+        handle.result()
 
 
 def test_sequence_numbers_are_submission_ordered():
-    pipeline = GenerationPipeline(lambda p, k: [p], 1)
+    pipeline = GenerationPipeline(_Recorder(), 1)
     handles = [pipeline.submit(str(i), 1) for i in range(5)]
     assert [h.seq for h in handles] == [0, 1, 2, 3, 4]
 
 
-def test_threaded_results_commit_in_submission_order():
-    # The first submission parks until the second finishes; committing
-    # handles in submission order must still return them in order.
-    first_may_finish = threading.Event()
-
-    def gen(prompt, k):
-        if prompt == "slow":
-            assert first_may_finish.wait(5.0)
-        return [prompt]
-
-    with GenerationPipeline(gen, 2) as pipeline:
-        slow = pipeline.submit("slow", 1)
-        fast = pipeline.submit("fast", 1)
-        # Completion order: fast then slow.
-        assert fast._future.result() == ["fast"]
-        first_may_finish.set()
-        # Commit order: slow (seq 0) then fast (seq 1).
-        assert slow.result() == ["slow"]
-        assert fast.result() == ["fast"]
-        assert (slow.seq, fast.seq) == (0, 1)
+def test_queued_queries_share_one_batch_call():
+    model = _Recorder()
+    pipeline = GenerationPipeline(model, 3)
+    handles = [pipeline.submit(p, 1) for p in ("a", "b", "c")]
+    assert handles[0].result() == _answer("A")
+    assert model.methods() == [("generate_batch", ["a", "b", "c"])]
+    # The same call answered the younger queries.
+    assert [h.result() for h in handles[1:]] == [_answer("B"), _answer("C")]
+    assert len(model.calls) == 1
 
 
-def test_threaded_error_surfaces_at_result():
-    def gen(prompt, k):
-        if prompt == "bad":
-            raise RuntimeError("boom")
-        return [prompt]
-
-    with GenerationPipeline(gen, 2) as pipeline:
-        good = pipeline.submit("good", 1)
-        bad = pipeline.submit("bad", 1)
-        assert good.result() == ["good"]
-        with pytest.raises(RuntimeError):
-            bad.result()
+def test_batches_are_capped_at_the_depth():
+    model = _Recorder()
+    pipeline = GenerationPipeline(model, 2)
+    handles = [pipeline.submit(p, 1) for p in ("a", "b", "c")]
+    handles[0].result()
+    assert model.methods() == [
+        ("generate_batch", ["a", "b"]),
+        ("generate", ["c"]),
+    ]
 
 
-def test_submit_fn_backend_is_preferred():
-    routed = []
-
-    class FakePending:
-        def __init__(self, prompt):
-            self.prompt = prompt
-
-        def result(self):
-            return [self.prompt + "!"]
-
-    def submit_fn(prompt, k):
-        routed.append(prompt)
-        return FakePending(prompt)
-
-    pipeline = GenerationPipeline(
-        lambda p, k: pytest.fail("generate_fn must not be called"),
-        3,
-        submit_fn=submit_fn,
-    )
-    handle = pipeline.submit("x", 2)
-    assert routed == ["x"]
-    assert handle.result() == ["x!"]
-    assert pipeline._pool is None  # no thread pool was created
-    pipeline.close()
-
-
-def test_submit_fn_ignored_at_depth1():
-    # Depth 1 is the serial-identity mode: always inline.
-    pipeline = GenerationPipeline(
-        lambda p, k: ["inline"],
-        1,
-        submit_fn=lambda p, k: pytest.fail("must not route async"),
-    )
-    assert pipeline.submit("x", 1).result() == ["inline"]
-
-
-def test_close_is_idempotent():
-    pipeline = GenerationPipeline(lambda p, k: [p], 2)
-    pipeline.submit("a", 1).result()
-    pipeline.close()
-    pipeline.close()
+def test_failed_batch_isolates_the_bad_query():
+    model = _Recorder(fail_on={"bad"})
+    pipeline = GenerationPipeline(model, 2)
+    good = pipeline.submit("good", 1)
+    bad = pipeline.submit("bad", 1)
+    assert good.result() == _answer("GOOD")
+    with pytest.raises(RuntimeError):
+        bad.result()
+    # The refused batch was retried query by query.
+    assert model.methods() == [
+        ("generate_batch", ["good", "bad"]),
+        ("generate", ["good"]),
+        ("generate", ["bad"]),
+    ]
 
 
 def test_handle_result_repeatable():
-    handle = GenerationHandle(0, value=["v"])
-    assert handle.result() == ["v"]
-    assert handle.result() == ["v"]
+    model = _Recorder()
+    handle = GenerationPipeline(model, 1).submit("v", 1)
+    assert handle.result() == handle.result() == _answer("V")
+    assert len(model.calls) == 1

@@ -1,16 +1,22 @@
 """The best-first search engine."""
 
+import threading
+
 import pytest
 
 from repro.core import (
     BestFirstSearch,
     Node,
     SearchConfig,
+    SearchResult,
+    SearchStats,
     Status,
     Transcript,
     make_frontier,
 )
+from repro.core.expand import Expander
 from repro.core.frontier import BestFirstFrontier
+from repro.core.transcript import ExpansionEvent
 from repro.errors import ReproError
 from repro.kernel.goals import initial_state
 from repro.llm import Candidate, get_model
@@ -390,16 +396,54 @@ class TestPipelinedSearch:
         )
         return result, transcript
 
+    def _serial_loop(self, project, name, fuel=16):
+        """The paper's loop written out — pop, prompt, generate, expand —
+        as the reference the pipelined executor replays at depth 1."""
+        model = get_model("gpt-4o")
+        theorem = project.theorem(name)
+        checker = ProofChecker(project.env_for(theorem))
+        builder = PromptBuilder(project, theorem)
+        config = SearchConfig(fuel=fuel)
+        stats = SearchStats()
+        expander = Expander(checker, stats, max_depth=config.max_depth)
+        frontier = make_frontier(config.frontier)
+        frontier.push(expander.root(checker.start(theorem.statement)))
+        transcript = Transcript(theorem.name, model.name)
+        status, tactics = Status.FUELOUT, []
+        while stats.queries < config.fuel:
+            node = frontier.pop()
+            if node is None:
+                status = Status.STUCK
+                break
+            prompt = builder.build(node.state, node.tactics_from_root())
+            stats.queries += 1
+            candidates = model.generate(prompt, config.width)
+            stats.nodes_expanded += 1
+            event = ExpansionEvent(
+                node.depth, node.cum_log_prob, node.state.render()[:200]
+            )
+            transcript.record(event)
+            expansion = expander.expand(node, candidates, event)
+            if expansion.proof is not None:
+                status = Status.PROVED
+                tactics = expansion.proof.tactics_from_root()
+                break
+            for child in expansion.children:
+                frontier.push(child)
+        failure = None if status is Status.PROVED else expander.failure
+        result = SearchResult(status, theorem.name, tactics, stats, failure)
+        return result, transcript
+
     def test_depth1_matches_serial_exactly(self, project):
         for name in ("app_nil_l", "le_trans", "rev_involutive"):
-            serial, serial_t = self._prove(project, name, depth=0)
+            serial, serial_t = self._serial_loop(project, name)
             piped, piped_t = self._prove(project, name, depth=1)
             assert self._result_fields(piped) == self._result_fields(serial)
             assert piped_t.events == serial_t.events
 
     def test_depth4_same_coverage(self, project):
         for name in ("app_nil_l", "le_trans", "plus_0_l"):
-            serial, _ = self._prove(project, name, depth=0)
+            serial, _ = self._prove(project, name, depth=1)
             piped, _ = self._prove(project, name, depth=4)
             assert piped.status is serial.status
             if serial.status is Status.PROVED:
@@ -411,9 +455,36 @@ class TestPipelinedSearch:
         assert self._result_fields(r1) == self._result_fields(r2)
         assert t1.events == t2.events
 
+    def test_depth4_calls_the_model_on_the_search_thread(self, project):
+        # No pool and no dispatcher: a deeper pipeline costs an
+        # in-process model nothing beyond the batching itself.
+        model = get_model("gpt-4o")
+        callers = []
+
+        class Spy:
+            name = model.name
+            context_window = model.context_window
+            provides_log_probs = True
+
+            def generate(self, prompt, k):
+                callers.append(threading.current_thread())
+                return model.generate(prompt, k)
+
+            def generate_batch(self, requests):
+                callers.append(threading.current_thread())
+                return model.generate_batch(requests)
+
+        threads = threading.active_count()
+        search, theorem, builder, _ = _search_for(
+            project, "rev_involutive", Spy(), fuel=16, pipeline_depth=4
+        )
+        search.prove(theorem.name, theorem.statement, builder.build)
+        assert set(callers) == {threading.current_thread()}
+        assert threading.active_count() == threads
+
     def test_depth1_fuelout_and_stuck_match_serial(self, project):
         model_rounds = [["assert (0 = 0)"]]
-        for depth in (0, 1):
+        for depth in (1, 3):
             model = _ScriptedModel(model_rounds)
             search, theorem, builder, _ = _search_for(
                 project, "plus_comm", model, fuel=5, pipeline_depth=depth

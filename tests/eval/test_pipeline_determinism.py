@@ -3,11 +3,10 @@
 Two contracts, both riding ``ExperimentConfig.pipeline_depth`` (an
 execution knob outside the task cache key, like ``trace``):
 
-* ``pipeline_depth=1`` — the pipelined executor with one slot replays
-  the serial loop's event order exactly, so re-running the golden
-  sweeps (``tests/eval/golden_run.jsonl``, recorded by the serial
-  loop, and ``tests/repair/golden_repair.jsonl``) must produce
-  **byte-identical** store files.
+* ``pipeline_depth=1`` (the default) is the paper's serial loop, so
+  re-running the golden sweeps (``tests/eval/golden_run.jsonl`` and
+  ``tests/repair/golden_repair.jsonl``, both recorded by the original
+  serial loop) must produce **byte-identical** store files.
 * ``pipeline_depth=4`` — overlapped rounds may explore in a different
   order (selection is speculative), but per-theorem *coverage* on the
   golden corpus is unchanged: the same cells prove, with revalidated
@@ -27,6 +26,8 @@ from repro.eval import (
     SerialExecutor,
     sweep_tasks,
 )
+from repro.llm import get_model
+from repro.testing.latency import LatencyGenerator
 
 GOLDEN_RUN = Path(__file__).with_name("golden_run.jsonl")
 GOLDEN_REPAIR = (
@@ -84,7 +85,7 @@ def _coverage(records):
 
 
 # ----------------------------------------------------------------------
-# depth 1: byte identity with the serial loop
+# depth 1: byte identity with the serial-loop golden stores
 # ----------------------------------------------------------------------
 
 
@@ -185,9 +186,25 @@ def test_depth4_coverage_stable_under_transient_faults(project):
 def test_pipeline_depth_is_outside_the_cache_key(project):
     # Same cell, different depths -> same task identity: a store
     # recorded serially must serve a pipelined rerun without searching.
-    runner0 = Runner(project, _run_cfg(0))
+    runner1 = Runner(project, _run_cfg(1))
     runner4 = Runner(project, _run_cfg(4))
-    theorems = runner0.theorems_for("gpt-4o-mini")[:2]
-    t0 = sweep_tasks(theorems, "gpt-4o-mini", False, runner0.config)
+    theorems = runner1.theorems_for("gpt-4o-mini")[:2]
+    t1 = sweep_tasks(theorems, "gpt-4o-mini", False, runner1.config)
     t4 = sweep_tasks(theorems, "gpt-4o-mini", False, runner4.config)
-    assert [t.cache_key() for t in t0] == [t.cache_key() for t in t4]
+    assert [t.cache_key() for t in t1] == [t.cache_key() for t in t4]
+
+
+def test_depth4_shares_endpoint_round_trips(project):
+    # Behind a per-call endpoint cost, depth 4 sends up to four queries
+    # per round-trip; depth 1 pays one per query.  (Zero overhead, so
+    # nothing sleeps.)
+    theorem = project.theorem("sep_star_rev3")
+    trips = {}
+    for depth in (1, 4):
+        endpoint = LatencyGenerator(get_model(REPAIR_MODEL), 0.0)
+        outcome = Runner(project, _run_cfg(depth)).run_theorem(
+            theorem, REPAIR_MODEL, True, model_override=endpoint
+        )
+        trips[depth] = (outcome.queries, endpoint.round_trips)
+    assert trips[1][0] == trips[1][1]
+    assert trips[4][1] < trips[4][0] / 2

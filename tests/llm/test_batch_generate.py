@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import TransientModelError
 from repro.llm import available_models, get_model
 from repro.llm.interface import Candidate, generate_batch, supports_batch
 from repro.llm.resilient import ResilientGenerator
@@ -79,15 +80,52 @@ class TestModuleFallback:
         assert generate_batch(model, requests) == model.generate_batch(requests)
 
 
+class BatchRecorder:
+    """A real model behind a batch call that can be made to fail."""
+
+    def __init__(self, model, batch_fails=False):
+        self.model = model
+        self.name = model.name
+        self.context_window = model.context_window
+        self.provides_log_probs = model.provides_log_probs
+        self.batch_fails = batch_fails
+        self.calls = []
+
+    def generate(self, prompt, k):
+        self.calls.append("generate")
+        return self.model.generate(prompt, k)
+
+    def generate_batch(self, requests):
+        self.calls.append("generate_batch")
+        if self.batch_fails:
+            raise TransientModelError("injected batch failure")
+        return self.model.generate_batch(requests)
+
+
 class TestResilientWrapper:
     def test_batch_goes_through_the_wrapper_per_element(self):
         inner = SoloOnly()
         wrapper = ResilientGenerator(inner)
         out = wrapper.generate_batch([("a", 1), ("b", 1), ("c", 1)])
-        # Each element went through the full solo path (retries/breaker
-        # act per element, not per batch).
+        # No native batch call: the elements reach the model in order.
         assert inner.calls == [("a", 1), ("b", 1), ("c", 1)]
         assert len(out) == 3
+
+    def test_batch_is_one_primary_call(self):
+        inner = BatchRecorder(get_model("gemini-1.5-flash"))
+        requests = [(p, 2) for p in PROMPTS]
+        out = ResilientGenerator(inner).generate_batch(requests)
+        assert inner.calls == ["generate_batch"]
+        assert out == [inner.model.generate(p, k) for p, k in requests]
+
+    def test_failed_batch_retries_each_element(self):
+        inner = BatchRecorder(get_model("gemini-1.5-flash"), batch_fails=True)
+        wrapper = ResilientGenerator(inner)
+        requests = [(p, 2) for p in PROMPTS]
+        out = wrapper.generate_batch(requests)
+        assert inner.calls == ["generate_batch"] + ["generate"] * len(PROMPTS)
+        assert out == [inner.model.generate(p, k) for p, k in requests]
+        assert not wrapper.breaker_open()
 
     def test_wrapper_batch_equals_wrapper_solo(self):
         model = get_model("gemini-1.5-flash")

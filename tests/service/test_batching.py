@@ -284,7 +284,7 @@ class TestDeterminismContract:
 
 
 class TestSubmitApi:
-    """The async submit() surface used by the intra-search pipeline."""
+    """The async submit() surface behind generate()."""
 
     def test_submit_coalesces_like_generate(self):
         model = get_model("gpt-4o-mini")
@@ -334,24 +334,3 @@ class TestSubmitApi:
         batcher.close()
         with pytest.raises(RuntimeError):
             batcher.submit("Goal n = n", 2)
-
-    def test_for_search_sizes_the_policy_to_the_depth(self):
-        inner = RecordingInner(get_model("gpt-4o"))
-        batcher = BatchingGenerator.for_search(inner, 4, batch_window=30.0)
-        assert batcher.policy.max_batch_size == 4
-        try:
-            handles = [
-                batcher.submit(f"Goal {i} : n = n", 2) for i in range(4)
-            ]
-            for h in handles:
-                h.result()
-        finally:
-            batcher.close()
-        # A full fill phase dispatched as one batch (size trigger).
-        assert inner.batch_sizes == [4]
-
-    def test_for_search_depth_one_disables_batching(self):
-        batcher = BatchingGenerator.for_search(
-            RecordingInner(get_model("gpt-4o")), 1
-        )
-        assert batcher.policy.max_batch_size == 1
