@@ -44,6 +44,7 @@ from tempfile import TemporaryDirectory
 from repro.eval.store import OutcomeRecord, RunStore
 from repro.eval.tasks import task_from_json
 from repro.service.cluster import ClusterConfig, ProverCluster
+from repro.service.server import ServerConfig
 
 MODEL = "gpt-4o-mini"
 N_THEOREMS = 6
@@ -82,7 +83,7 @@ def boot(state_dir: Path, faults: str = None) -> ProverCluster:
     cluster = ProverCluster(
         ClusterConfig(
             workers=WORKERS,
-            threads=2,
+            worker=ServerConfig(workers=2, max_queued=64),
             state_dir=str(state_dir),
             cluster_faults=faults,
         )

@@ -230,12 +230,14 @@ def run_cluster_phase(project, args) -> dict:
         ClusterConfig(
             port=0,
             workers=args.cluster_workers,
-            threads=args.workers,
-            worker_max_queued=max(32, args.clients * args.requests),
-            batch_window=args.batch_window,
-            max_batch_size=args.max_batch_size,
-            query_overhead=args.query_overhead,
             max_inflight=max(256, args.clients * args.requests),
+            worker=ServerConfig(
+                workers=args.workers,
+                max_queued=max(32, args.clients * args.requests),
+                batch_window=args.batch_window,
+                max_batch_size=args.max_batch_size,
+                query_overhead=args.query_overhead,
+            ),
         )
     )
     cluster.start()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.corpus.loader import load_project
@@ -113,8 +114,6 @@ def _cmd_prove(args) -> int:
 
 def _cmd_repair(args) -> int:
     """Show a failed search's failure context, then run the repair loop."""
-    from dataclasses import replace
-
     from repro.eval import ExperimentConfig, Runner
     from repro.eval.tasks import TheoremTask
     from repro.serapi import ProofChecker
@@ -264,46 +263,45 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_server(args) -> int:
-    if args.cluster:
-        from repro.service import ClusterConfig, serve_cluster_forever
+    from repro.service import (
+        ClusterConfig,
+        ProverCluster,
+        ProverService,
+        ServerConfig,
+        serve_forever,
+    )
 
-        if args.trace:
-            print(
-                "warning: --trace is per-process; cluster workers do "
-                "not trace (run a single-process server to trace jobs)"
-            )
-        return serve_cluster_forever(
+    config = ServerConfig(
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        max_queued=args.max_queued,
+        batch_window=args.batch_window,
+        max_batch_size=args.max_batch_size,
+        cache_path=args.cache,
+        default_deadline=args.deadline,
+        fast=args.fast,
+        query_overhead=args.query_overhead,
+        trace_path=args.trace,
+        pipeline_depth=args.pipeline_depth,
+    )
+    if not args.cluster:
+        return serve_forever(ProverService(config))
+    if args.trace:
+        print(
+            "warning: --trace is per-process; cluster workers do "
+            "not trace (run a single-process server to trace jobs)"
+        )
+    return serve_forever(
+        ProverCluster(
             ClusterConfig(
                 host=args.host,
                 port=args.port,
                 workers=args.cluster,
-                threads=args.workers,
-                worker_max_queued=args.max_queued,
-                batch_window=args.batch_window,
-                max_batch_size=args.max_batch_size,
                 state_dir=args.state_dir,
                 journal_path=args.journal,
-                default_deadline=args.deadline,
-                fast=args.fast,
-                query_overhead=args.query_overhead,
+                worker=replace(config, trace_path=None),
             )
-        )
-    from repro.service import ServerConfig, serve_forever
-
-    return serve_forever(
-        ServerConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            max_queued=args.max_queued,
-            batch_window=args.batch_window,
-            max_batch_size=args.max_batch_size,
-            cache_path=args.cache,
-            default_deadline=args.deadline,
-            fast=args.fast,
-            query_overhead=args.query_overhead,
-            trace_path=args.trace,
-            pipeline_depth=args.pipeline_depth,
         )
     )
 

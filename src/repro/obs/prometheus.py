@@ -195,8 +195,8 @@ def _render_service(registry: _Registry, service: dict) -> None:
     scheduler = service.get("scheduler") or {}
     for key, help_text in (
         ("queue_depth", "jobs waiting in the scheduler queue"),
-        ("in_flight", "proof searches currently running"),
-        ("workers", "configured concurrent search workers"),
+        ("in_flight", "jobs currently running"),
+        ("workers", "jobs that may run at once"),
         ("max_queued", "admission bound beyond in-flight jobs"),
     ):
         if key in scheduler:
@@ -346,18 +346,6 @@ def _render_service(registry: _Registry, service: dict) -> None:
                 1 if state.get("state") == "healthy" else 0,
                 {"worker": str(index)},
             )
-        gauge(
-            "repro_cluster_inflight_jobs",
-            "gauge",
-            "router jobs admitted but not yet terminal",
-        ).add(cluster.get("inflight", 0))
-        jobs_f = gauge(
-            "repro_cluster_jobs",
-            "gauge",
-            "router jobs by lifecycle state",
-        )
-        for state, count in sorted((cluster.get("jobs") or {}).items()):
-            jobs_f.add(count, {"state": state})
         journal = cluster.get("journal") or {}
         if journal:
             gauge(

@@ -9,8 +9,9 @@ the supervised multi-process cluster.  DESIGN.md §6 and §8.
 
 * :mod:`repro.service.batching` — cross-search micro-batched dispatch;
 * :mod:`repro.service.proofcache` — shared result cache + single-flight;
-* :mod:`repro.service.scheduler` — bounded queue, worker pool, drain;
-* :mod:`repro.service.server` — HTTP routes / composition root;
+* :mod:`repro.service.scheduler` — the one job model: admission,
+  on-demand execution threads, journal appends, drain;
+* :mod:`repro.service.server` — HTTP routes / single-process front end;
 * :mod:`repro.service.client` — stdlib client (loadgen, tools, tests);
 * :mod:`repro.service.journal` — write-ahead job journal (replayable);
 * :mod:`repro.service.supervisor` — forked workers, probes, restarts;
@@ -24,12 +25,7 @@ from repro.service.client import (
     ProverServiceError,
     ProverTransportError,
 )
-from repro.service.cluster import (
-    ClusterConfig,
-    HashRing,
-    ProverCluster,
-    serve_cluster_forever,
-)
+from repro.service.cluster import ClusterConfig, HashRing, ProverCluster
 from repro.service.journal import JobJournal, JournalEntry
 from repro.service.proofcache import ProofCache
 from repro.service.scheduler import (
@@ -47,12 +43,7 @@ from repro.service.server import (
     install_sigterm_drain,
     serve_forever,
 )
-from repro.service.supervisor import (
-    Supervisor,
-    SupervisorConfig,
-    WorkerSpec,
-    WorkerState,
-)
+from repro.service.supervisor import Supervisor, WorkerSpec, WorkerState
 
 __all__ = [
     "BatchPolicy",
@@ -77,11 +68,9 @@ __all__ = [
     "JobJournal",
     "JournalEntry",
     "Supervisor",
-    "SupervisorConfig",
     "WorkerSpec",
     "WorkerState",
     "ClusterConfig",
     "HashRing",
     "ProverCluster",
-    "serve_cluster_forever",
 ]

@@ -29,11 +29,6 @@ Structure: the window/size policy lives in :class:`BatchPlanner`, a
 pure, lock-free, fake-clock-testable state machine; the thread-safe
 :class:`BatchingGenerator` wraps it with a condition variable and a
 single dispatcher thread.
-
-Two entry points share the machinery: the blocking ``generate`` (one
-caller, parks until its element returns) and the asynchronous
-``submit`` (returns a :class:`Submission` handle whose ``result()``
-parks instead).
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from repro.llm.interface import (
     generate_batch,
 )
 
-__all__ = ["BatchPolicy", "BatchPlanner", "BatchingGenerator", "Submission"]
+__all__ = ["BatchPolicy", "BatchPlanner", "BatchingGenerator"]
 
 
 @dataclass(frozen=True)
@@ -83,29 +78,6 @@ class _Pending:
         self.event = threading.Event()
         self.result: Optional[List[Candidate]] = None
         self.error: Optional[BaseException] = None
-
-
-class Submission:
-    """A parked request's caller-side handle (see ``submit``).
-
-    ``result()`` blocks until the dispatcher (or the inline solo path)
-    fills the element, then returns the candidates or re-raises the
-    element's own error — semantically identical to a blocking
-    ``generate`` call split at the park point.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self, pending: _Pending) -> None:
-        self._pending = pending
-
-    def result(self) -> List[Candidate]:
-        pending = self._pending
-        pending.event.wait()
-        if pending.error is not None:
-            raise pending.error
-        assert pending.result is not None
-        return pending.result
 
 
 class BatchPlanner:
@@ -193,25 +165,7 @@ class BatchingGenerator:
         if self.policy.max_batch_size <= 1:
             # Batching disabled: the undecorated solo path.
             return self.inner.generate(prompt, k)
-        return self.submit(prompt, k).result()
-
-    def submit(self, prompt: str, k: int) -> Submission:
-        """Asynchronous ``generate``: enqueue, return a result handle.
-
-        The request joins the same micro-batch queue as blocking
-        callers; the caller parks at ``Submission.result()`` instead
-        of here.  With batching disabled (``max_batch_size=1``) the
-        call executes inline and the returned handle is already
-        resolved, so errors still surface only at ``result()``.
-        """
         pending = _Pending(prompt, k, self.clock())
-        if self.policy.max_batch_size <= 1:
-            try:
-                pending.result = self.inner.generate(prompt, k)
-            except BaseException as exc:
-                pending.error = exc
-            pending.event.set()
-            return Submission(pending)
         with self._cond:
             if self._closed:
                 raise RuntimeError(
@@ -220,7 +174,11 @@ class BatchingGenerator:
             self._ensure_dispatcher()
             self._planner.add(pending)
             self._cond.notify_all()
-        return Submission(pending)
+        pending.event.wait()
+        if pending.error is not None:
+            raise pending.error
+        assert pending.result is not None
+        return pending.result
 
     def generate_batch(
         self, requests: Sequence[GenerationRequest]

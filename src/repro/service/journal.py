@@ -1,12 +1,13 @@
 """Write-ahead job journal for the prover cluster.
 
-The cluster router (:mod:`repro.service.cluster`) journals every job's
-lifecycle to an append-only JSONL file *before* acting on it, so the
-jobs — not the process — are the source of truth.  A crashed worker, a
-killed router, or a full-service restart replays unfinished jobs from
-the journal and, by the determinism contract (a task's outcome is a
-pure function of its :meth:`~repro.eval.tasks.TheoremTask.cache_key`),
-produces byte-identical records to a fault-free run.
+The cluster router's scheduler (:mod:`repro.service.scheduler`)
+journals every job's lifecycle to an append-only JSONL file *before*
+acting on it, so the jobs — not the process — are the source of
+truth.  A crashed worker, a killed router, or a full-service restart
+replays unfinished jobs from the journal and, by the determinism
+contract (a task's outcome is a pure function of its
+:meth:`~repro.eval.tasks.TheoremTask.cache_key`), produces
+byte-identical records to a fault-free run.
 
 Line format is the evaluation store's checksummed convention
 (:func:`repro.eval.store.checksum_payload`): every line carries a
@@ -22,11 +23,15 @@ Events per job (``job`` is the router's job id)::
     {"event": "done",       "job": J, "key": K, "record": {...}, "sum": S}
     {"event": "failed",     "job": J, "error": "...",          "sum": S}
 
-``admitted`` is written before the client sees the 202; ``dispatched``
-after the task is handed to a worker (re-dispatches append another
-``dispatched`` line — the journal is a log, not a table); ``done`` /
-``failed`` are terminal.  A job with no terminal event is *pending*
-and must be replayed on restart.
+``admitted`` is written before the job can run (so before the client
+sees the 202); ``dispatched`` after the task is handed to a worker
+(re-dispatches append another ``dispatched`` line — the journal is a
+log, not a table); ``done`` / ``failed`` are terminal.  A job with no
+terminal event is *pending* and must be replayed on restart.
+
+Each append is flushed to the operating system before the caller
+proceeds, but not ``fsync``-ed: a line survives a crash of the process,
+not a power loss or kernel crash.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ class JobJournal:
         self.entries: Dict[str, JournalEntry] = {}
         #: Lines rejected on load (torn writes, checksum mismatches).
         self.quarantined = 0
+        # Entries per state, kept current by _ingest so stats() never
+        # walks the entries.
+        self._tally = {"pending": 0, "done": 0, "failed": 0}
         if self.path.exists():
             self._load()
 
@@ -116,6 +124,7 @@ class JobJournal:
         entry = self.entries.get(job)
         if entry is None:
             entry = self.entries[job] = JournalEntry(job)
+        self._count(entry, -1)
         if event == "admitted":
             entry.key = obj.get("key", "")
             entry.body = obj.get("body")
@@ -126,7 +135,13 @@ class JobJournal:
             entry.key = obj.get("key", entry.key)
         elif event == "failed":
             entry.error = obj.get("error", "unknown failure")
+        self._count(entry, +1)
         return True
+
+    def _count(self, entry: JournalEntry, sign: int) -> None:
+        self._tally["pending"] += sign * entry.pending()
+        self._tally["done"] += sign * (entry.record is not None)
+        self._tally["failed"] += sign * (entry.error is not None)
 
     def pending(self) -> List[JournalEntry]:
         """Jobs admitted but not finished, in admission order."""
@@ -136,7 +151,8 @@ class JobJournal:
         return [e for e in self.entries.values() if e.finished()]
 
     # ------------------------------------------------------------------
-    # Appends (each one durable before the caller proceeds)
+    # Appends (each one flushed to the OS before the caller proceeds;
+    # no fsync, so they survive a process crash but not a power loss)
     # ------------------------------------------------------------------
 
     def admitted(self, job: str, key: str, body: dict) -> None:
@@ -172,15 +188,13 @@ class JobJournal:
 
     def stats(self) -> dict:
         """Journal gauges for ``/metrics``."""
-        entries = list(self.entries.values())
-        return {
-            "path": str(self.path),
-            "jobs": len(entries),
-            "pending": sum(1 for e in entries if e.pending()),
-            "done": sum(1 for e in entries if e.record is not None),
-            "failed": sum(1 for e in entries if e.error is not None),
-            "quarantined": self.quarantined,
-        }
+        with self._write_lock:
+            return {
+                "path": str(self.path),
+                "jobs": len(self.entries),
+                **self._tally,
+                "quarantined": self.quarantined,
+            }
 
     def quarantine_path(self) -> Path:
         return self.path.with_name(self.path.name + ".quarantine")

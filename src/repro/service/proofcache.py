@@ -89,6 +89,12 @@ class ProofCache:
         self._incr("service.cache.misses")
         return None
 
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` is cached (not counted as a hit or miss)."""
+        if self.store is not None:
+            return key in self.store
+        return key in self._memory.data
+
     def put(self, task: TheoremTask, record: OutcomeRecord) -> None:
         """Publish one completed search (persisted when backed by a file)."""
         if self.store is not None:

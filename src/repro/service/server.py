@@ -24,13 +24,18 @@ job completed instantly from the warm proof cache, **400** on a
 malformed request, **404** for an unknown theorem, **429** when
 admission control sheds the request, **503** while draining.
 
-The composition root is :class:`ProverService`: one
-:class:`~repro.eval.runner.Runner` shared by all worker threads, one
+:class:`Frontend` is what the single-process service and the cluster
+router (:mod:`repro.service.cluster`) share: one
+:class:`~repro.service.scheduler.Scheduler` over one
+:class:`~repro.service.proofcache.ProofCache`, and every route but
+``POST /prove``.  They differ in how a body becomes a job and in the
+``execute(job)`` the scheduler runs.
+
+The single-process composition root is :class:`ProverService`: one
+:class:`~repro.eval.runner.Runner` shared by all job threads, one
 :class:`~repro.service.batching.BatchingGenerator` per model (shared
-across jobs — that is where cross-search micro-batching happens), one
-:class:`~repro.service.proofcache.ProofCache`, one
-:class:`~repro.service.scheduler.Scheduler`.  Per-job, the runner
-still wraps the shared batcher in a fresh
+across jobs — that is where cross-search micro-batching happens).
+Per-job, the runner still wraps the shared batcher in a fresh
 :class:`~repro.llm.resilient.ResilientGenerator`, so retries/breaker
 state stay task-local while dispatch is globally batched.
 """
@@ -65,6 +70,7 @@ from repro.service.scheduler import (
 )
 
 __all__ = [
+    "Frontend",
     "ServerConfig",
     "ProverService",
     "build_http_server",
@@ -76,12 +82,9 @@ __all__ = [
 def build_http_server(api, host: str, port: int) -> ThreadingHTTPServer:
     """Bind (but do not serve) the HTTP front end for ``api``.
 
-    ``api`` is anything exposing the transport-independent handlers
-    ``submit(body)``, ``job_status(id, wait=)``, ``health()``,
-    ``metrics_snapshot()``, and ``metrics_text()`` — both
-    :class:`ProverService` (single process) and
-    :class:`~repro.service.cluster.ProverCluster` (the router) do, so
-    they share one route table and wire format.  ``port=0`` binds an
+    ``api`` is a :class:`Frontend`: it exposes the transport-independent
+    handlers ``submit(body)``, ``job_status(id, wait=)``, ``health()``,
+    ``metrics_snapshot()``, and ``metrics_text()``.  ``port=0`` binds an
     ephemeral port — read it back from ``server.server_address``.
     """
 
@@ -202,6 +205,29 @@ def install_sigterm_drain():
     return signal.signal(signal.SIGTERM, _drain)
 
 
+def serve_forever(api) -> int:
+    """Serve ``api`` until interrupted, then drain (the CLI entry).
+
+    Both ``Ctrl-C`` and ``SIGTERM`` (what containers and CI send) end
+    in the same graceful drain: refuse new work, finish admitted jobs,
+    flush the proof cache (and journal), exit 0.
+    """
+    api.start()
+    server = api.make_http_server()
+    host, port = server.server_address[:2]
+    print(f"{api.describe()}\nlistening on http://{host}:{port}")
+    install_sigterm_drain()
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        print("\ndraining...")
+    finally:
+        server.shutdown()
+        server.server_close()
+        api.close()
+    return 0
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Everything the composition root needs."""
@@ -228,7 +254,124 @@ class ServerConfig:
     pipeline_depth: int = 1
 
 
-class ProverService:
+class Frontend:
+    """The routes both front ends share, over one scheduler and cache.
+
+    Subclasses define ``submit(body)`` (a body becomes a job through
+    :meth:`_admit`), ``_execute(job)``, ``describe()`` and ``close()``;
+    ``_gauges()`` adds their own blocks to ``/metrics`` and ``start()``
+    boots whatever must run before the first request.
+    """
+
+    def __init__(
+        self,
+        config,
+        cache_path: Optional[str],
+        scheduler_config: SchedulerConfig,
+        journal=None,
+    ) -> None:
+        self.config = config
+        self.metrics = Metrics()
+        self.started_at = time.monotonic()
+        self.cache = ProofCache(cache_path, metrics=self.metrics)
+        self.scheduler = Scheduler(
+            execute=self._execute,
+            cache=self.cache,
+            config=scheduler_config,
+            metrics=self.metrics,
+            journal=journal,
+        )
+
+    def start(self) -> None:
+        pass
+
+    def _admit(
+        self, task, body: Optional[dict] = None, cached_only: bool = False
+    ) -> Tuple[int, dict]:
+        """Submit to the scheduler: ``(http_status, payload)``.
+
+        ``cached_only`` is the cluster router's cache-only rung: a
+        request the proof cache cannot answer gets a 503.
+        """
+        try:
+            job = self.scheduler.submit(task, body, cached_only)
+        except QueueFullError as exc:
+            return 429, {"error": str(exc)}
+        except ShuttingDownError as exc:
+            return 503, {"error": str(exc)}
+        if job is None:
+            return 503, {
+                "error": "cluster degraded: no routable workers; "
+                "serving proof-cache hits only"
+            }
+        payload = {
+            "job": job.id,
+            "state": job.state.value,
+            "key": job.key,
+            "cached": job.cached,
+        }
+        if job.finished():
+            payload.update(job.to_json())
+            return 200, payload
+        return 202, payload
+
+    def job_status(
+        self, job_id: str, wait: Optional[float] = None
+    ) -> Tuple[int, dict]:
+        """Handle ``GET /jobs/<id>`` (``wait`` = long-poll seconds)."""
+        job = self.scheduler.job(job_id)
+        if job is None:
+            return 404, {"error": f"no job {job_id!r}"}
+        if wait is not None and not job.finished():
+            # Bounded long-poll: callers get an answer within the wait
+            # budget either way and poll again if still running.  The
+            # clamp rejects NaN/inf defensively: min/max pass NaN
+            # through untouched (every comparison is False), and
+            # Event.wait(nan) raises deep inside threading.  The HTTP
+            # layer already 400s non-finite values; this guards direct
+            # (in-process) callers.
+            if not math.isfinite(wait):
+                wait = 0.0
+            job.done.wait(min(max(wait, 0.0), 60.0))
+        return 200, job.to_json()
+
+    def health(self) -> Tuple[int, dict]:
+        return 200, {
+            "status": "draining" if self.scheduler.draining else "ok",
+            "uptime": time.monotonic() - self.started_at,
+            "cache_key_version": CACHE_KEY_VERSION,
+        }
+
+    def metrics_snapshot(self) -> Tuple[int, dict]:
+        """``GET /metrics``: eval metrics + service-level gauges."""
+        service = {
+            "uptime": time.monotonic() - self.started_at,
+            "scheduler": self.scheduler.stats(),
+            "proof_cache": self.cache.stats(),
+        }
+        service.update(self._gauges())
+        return 200, {"service": service, "metrics": self.metrics.snapshot()}
+
+    def _gauges(self) -> dict:
+        return {}
+
+    def metrics_text(self) -> Tuple[int, str]:
+        """``GET /metrics`` in Prometheus text exposition format."""
+        _, snapshot = self.metrics_snapshot()
+        return 200, render_prometheus(
+            snapshot["metrics"], service=snapshot["service"]
+        )
+
+    def make_http_server(self) -> ThreadingHTTPServer:
+        """Bind (but do not serve) the HTTP front end.
+
+        ``config.port=0`` binds an ephemeral port — read it back from
+        ``server.server_address`` (tests and the loadgen do).
+        """
+        return build_http_server(self, self.config.host, self.config.port)
+
+
+class ProverService(Frontend):
     """Composition root: runner + batchers + cache + scheduler."""
 
     def __init__(
@@ -236,47 +379,39 @@ class ProverService:
     ) -> None:
         from repro.corpus.loader import load_project
 
-        self.config = config or ServerConfig()
-        self.metrics = Metrics()
-        self.started_at = time.monotonic()
-        if project is None:
-            project = load_project(check_proofs=not self.config.fast)
-        self.runner = Runner(
-            project,
-            ExperimentConfig(
-                pipeline_depth=self.config.pipeline_depth,
+        config = config or ServerConfig()
+        super().__init__(
+            config,
+            config.cache_path,
+            SchedulerConfig(
+                workers=config.workers,
+                max_queued=config.max_queued,
+                default_deadline=config.default_deadline,
             ),
         )
-        self.cache = ProofCache(self.config.cache_path, metrics=self.metrics)
-        self.scheduler = Scheduler(
-            execute=self._execute,
-            generator_for=self.generator_for,
-            cache=self.cache,
-            config=SchedulerConfig(
-                workers=self.config.workers,
-                max_queued=self.config.max_queued,
-                default_deadline=self.config.default_deadline,
-            ),
-            metrics=self.metrics,
+        if project is None:
+            project = load_project(check_proofs=not config.fast)
+        self.runner = Runner(
+            project, ExperimentConfig(pipeline_depth=config.pipeline_depth)
         )
         self._batchers: Dict[str, BatchingGenerator] = {}
         self._batcher_lock = threading.Lock()
         self.trace_sink: Optional[JsonlSink] = (
-            JsonlSink(self.config.trace_path)
-            if self.config.trace_path
-            else None
+            JsonlSink(config.trace_path) if config.trace_path else None
         )
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
 
-    def _execute(self, task, generator):
+    def _execute(self, job):
+        task = job.task
+        generator = self.generator_for(task.model)
         tracer = None
         if self.trace_sink is not None:
             # One trace per executed job, rooted at a "job" span so the
             # rendered tree shows queueing context above the search.
-            tracer = Tracer(trace_id=task.cache_key()[:16])
+            tracer = Tracer(trace_id=job.key[:16])
             with tracer.span("job", theorem=task.theorem, model=task.model):
                 result = self.runner.execute_task(
                     task, model_override=generator, tracer=tracer
@@ -345,75 +480,40 @@ class ProverService:
             self.runner.project.theorem(task.theorem)
         except CorpusError as exc:
             return 404, {"error": str(exc)}
-        try:
-            job = self.scheduler.submit(task)
-        except QueueFullError as exc:
-            return 429, {"error": str(exc)}
-        except ShuttingDownError as exc:
-            return 503, {"error": str(exc)}
-        payload = {
-            "job": job.id,
-            "state": job.state.value,
-            "key": job.key,
-            "cached": job.cached,
-        }
-        if job.finished():
-            payload.update(job.to_json())
-            return 200, payload
-        return 202, payload
+        # Every search thread starts at the first request.  Submits
+        # racing it wait for the spawn, so a burst's searches start
+        # together and stay in step for micro-batching; threads started
+        # on demand start them one by one behind searches already
+        # holding the interpreter lock, and service_loadgen's batched
+        # phase fell below 2x unbatched in about half its runs (2-core
+        # VM).  The router's jobs wait on sockets: its threads stay on
+        # demand.
+        self.scheduler.start()
+        return self._admit(task)
 
-    def job_status(
-        self, job_id: str, wait: Optional[float] = None
-    ) -> Tuple[int, dict]:
-        """Handle ``GET /jobs/<id>`` (``wait`` = long-poll seconds)."""
-        job = self.scheduler.job(job_id)
-        if job is None:
-            return 404, {"error": f"no job {job_id!r}"}
-        if wait is not None and not job.finished():
-            # Bounded long-poll: callers get an answer within the wait
-            # budget either way and poll again if still running.  The
-            # clamp rejects NaN/inf defensively: min/max pass NaN
-            # through untouched (every comparison is False), and
-            # Event.wait(nan) raises deep inside threading.  The HTTP
-            # layer already 400s non-finite values; this guards direct
-            # (in-process) callers.
-            if not math.isfinite(wait):
-                wait = 0.0
-            job.done.wait(min(max(wait, 0.0), 60.0))
-        return 200, job.to_json()
-
-    def health(self) -> Tuple[int, dict]:
-        return 200, {
-            "status": "draining" if self.scheduler.stats()["draining"]
-            else "ok",
-            "uptime": time.monotonic() - self.started_at,
-            "cache_key_version": CACHE_KEY_VERSION,
-        }
-
-    def metrics_snapshot(self) -> Tuple[int, dict]:
-        """``GET /metrics``: eval metrics + service-level gauges."""
+    def _gauges(self) -> dict:
         from repro.kernel import cache as kernel_cache
 
-        return 200, {
-            "service": {
-                "uptime": time.monotonic() - self.started_at,
-                "scheduler": self.scheduler.stats(),
-                "batchers": [
-                    b.stats() for b in self._batchers.values()
-                ],
-                "proof_cache": self.cache.stats(),
-                "kernel_cache_pins": kernel_cache.pin_count(),
-                "kernel_cache": kernel_cache.cache_stats(),
-            },
-            "metrics": self.metrics.snapshot(),
+        return {
+            "batchers": [b.stats() for b in self._batchers.values()],
+            "kernel_cache_pins": kernel_cache.pin_count(),
+            "kernel_cache": kernel_cache.cache_stats(),
         }
 
-    def metrics_text(self) -> Tuple[int, str]:
-        """``GET /metrics`` in Prometheus text exposition format."""
-        _, snapshot = self.metrics_snapshot()
-        return 200, render_prometheus(
-            snapshot["metrics"], service=snapshot["service"]
-        )
+    def describe(self) -> str:
+        from repro.llm import available_models
+
+        config = self.config
+        lines = [
+            f"prover service (workers={config.workers}, "
+            f"batch_window={config.batch_window}s, "
+            f"max_batch={config.max_batch_size}, "
+            f"cache={config.cache_path or 'memory'})",
+            f"models: {', '.join(available_models())}",
+        ]
+        if config.trace_path:
+            lines.append(f"tracing job searches to {config.trace_path}")
+        return "\n".join(lines)
 
     def close(self, timeout: Optional[float] = 30.0) -> bool:
         """Graceful drain: finish admitted jobs, stop dispatchers."""
@@ -422,49 +522,3 @@ class ProverService:
             for batcher in self._batchers.values():
                 batcher.close()
         return drained
-
-    # ------------------------------------------------------------------
-    # HTTP transport
-    # ------------------------------------------------------------------
-
-    def make_http_server(self) -> ThreadingHTTPServer:
-        """Bind (but do not serve) the HTTP front end.
-
-        ``config.port=0`` binds an ephemeral port — read it back from
-        ``server.server_address`` (tests and the loadgen do).
-        """
-        return build_http_server(self, self.config.host, self.config.port)
-
-
-def serve_forever(config: ServerConfig) -> int:
-    """Boot the service and serve until interrupted (the CLI entry).
-
-    Both ``Ctrl-C`` and ``SIGTERM`` (what containers and CI send) end
-    in the same graceful drain: refuse new work, finish admitted jobs,
-    flush the proof cache, exit 0.
-    """
-    service = ProverService(config)
-    server = service.make_http_server()
-    from repro.llm import available_models
-
-    host, port = server.server_address[:2]
-    models = ", ".join(available_models())
-    print(
-        f"prover service on http://{host}:{port} "
-        f"(workers={config.workers}, batch_window={config.batch_window}s, "
-        f"max_batch={config.max_batch_size}, "
-        f"cache={config.cache_path or 'memory'})"
-    )
-    print(f"models: {models}")
-    if config.trace_path:
-        print(f"tracing job searches to {config.trace_path}")
-    install_sigterm_drain()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\ndraining...")
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
-    return 0

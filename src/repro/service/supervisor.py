@@ -15,9 +15,9 @@ localhost port.  The supervisor:
   :class:`~repro.llm.resilient.ResilientGenerator` applies to model
   endpoints, applied to whole processes);
 * trips a **per-worker circuit breaker**: after
-  ``breaker_threshold`` consecutive probe/transport failures the
-  worker is marked unroutable for ``breaker_cooldown`` seconds, so the
-  router's hash ring forwards its key ranges to the next healthy
+  ``BREAKER_THRESHOLD`` consecutive probe/transport failures the
+  worker is marked unroutable for ``BREAKER_COOLDOWN_S`` seconds, so
+  the router's hash ring forwards its key ranges to the next healthy
   sibling shard until a half-open probe succeeds.
 
 Worker processes install a SIGTERM handler that runs the same
@@ -34,8 +34,8 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.llm.resilient import stable_jitter
 from repro.service.client import ProverClient
@@ -47,11 +47,19 @@ from repro.service.server import (
 
 __all__ = [
     "Supervisor",
-    "SupervisorConfig",
     "WorkerSpec",
     "WorkerState",
     "worker_main",
 ]
+
+PROBE_INTERVAL_S = 0.25  # seconds between health sweeps
+PROBE_TIMEOUT_S = 2.0  # per-probe HTTP budget
+BOOT_TIMEOUT_S = 30.0  # port-handshake budget per boot
+BREAKER_THRESHOLD = 3  # consecutive failures that open the breaker
+BREAKER_COOLDOWN_S = 1.0  # seconds unroutable before half-open
+RESTART_BASE_DELAY_S = 0.05  # first restart backoff
+RESTART_MAX_DELAY_S = 2.0  # cap on any restart backoff
+RESTART_JITTER = 0.25  # extra delay fraction (seeded, deterministic)
 
 
 # Worker lifecycle states.  Only HEALTHY workers are routable.
@@ -68,40 +76,18 @@ class WorkerSpec:
     """Everything a worker process needs to boot (picklable)."""
 
     index: int
-    host: str = "127.0.0.1"
-    threads: int = 4  # concurrent searches inside the worker
-    max_queued: int = 64
-    batch_window: float = 0.01
-    max_batch_size: int = 8
-    cache_path: Optional[str] = None  # this worker's proof-cache shard
-    default_deadline: Optional[float] = None
-    query_overhead: float = 0.0
-    fast: bool = True
+    config: ServerConfig  # the worker's service (its port is 0)
     # Chaos: a ClusterFaultPlan spec string + the shared marker dir for
     # cross-process death counting (see testing/faults.py).
     cluster_faults: Optional[str] = None
-    state_dir: Optional[str] = None
-
-    def server_config(self) -> ServerConfig:
-        return ServerConfig(
-            host=self.host,
-            port=0,  # ephemeral; reported back over the handshake pipe
-            workers=self.threads,
-            max_queued=self.max_queued,
-            batch_window=self.batch_window,
-            max_batch_size=self.max_batch_size,
-            cache_path=self.cache_path,
-            default_deadline=self.default_deadline,
-            fast=self.fast,
-            query_overhead=self.query_overhead,
-        )
+    fault_dir: Optional[str] = None
 
 
 class ClusterWorkerService(ProverService):
     """A worker-side service that honours cluster fault plans."""
 
     def __init__(self, spec: WorkerSpec, project=None) -> None:
-        super().__init__(spec.server_config(), project=project)
+        super().__init__(spec.config, project=project)
         from repro.testing.faults import ClusterFaultPlan
 
         self.spec = spec
@@ -109,18 +95,19 @@ class ClusterWorkerService(ProverService):
             spec.cluster_faults
         )
 
-    def _execute(self, task, generator):
+    def _execute(self, job):
         plan = self.cluster_faults
-        if plan is not None and self.spec.state_dir:
-            if plan.should_die(task.theorem, self.spec.state_dir):
+        if plan is not None and self.spec.fault_dir:
+            theorem = job.task.theorem
+            if plan.should_die(theorem, self.spec.fault_dir):
                 # A crash is not an exception: the whole process dies
                 # mid-job, exactly like an OOM kill.  The supervisor
                 # must restart us and the router must re-dispatch.
                 os._exit(23)
-            stall = plan.stall_for(task.theorem)
+            stall = plan.stall_for(theorem)
             if stall > 0:
                 time.sleep(stall)
-        return super()._execute(task, generator)
+        return super()._execute(job)
 
 
 def worker_main(spec: WorkerSpec, conn) -> None:
@@ -147,21 +134,6 @@ def worker_main(spec: WorkerSpec, conn) -> None:
         service.close(timeout=30.0)
 
 
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Probe cadence, breaker, and restart-backoff knobs."""
-
-    probe_interval: float = 0.25  # seconds between health sweeps
-    probe_timeout: float = 2.0  # per-probe HTTP budget
-    boot_timeout: float = 30.0  # port-handshake budget per boot
-    breaker_threshold: int = 3  # consecutive failures that open it
-    breaker_cooldown: float = 1.0  # seconds unroutable before half-open
-    restart_base_delay: float = 0.05  # first restart backoff
-    restart_max_delay: float = 2.0  # cap on any restart backoff
-    restart_jitter: float = 0.25  # extra delay fraction (seeded)
-    seed: int = 0  # jitter seed (deterministic chaos runs)
-
-
 class _Worker:
     """One supervised worker process and its live state."""
 
@@ -183,16 +155,8 @@ class _Worker:
 class Supervisor:
     """Boots, probes, restarts, and drains the worker fleet."""
 
-    def __init__(
-        self,
-        specs: List[WorkerSpec],
-        config: Optional[SupervisorConfig] = None,
-        metrics=None,
-        on_worker_lost: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        self.config = config or SupervisorConfig()
+    def __init__(self, specs: List[WorkerSpec], metrics=None) -> None:
         self.metrics = metrics
-        self.on_worker_lost = on_worker_lost
         self._workers = [_Worker(spec) for spec in specs]
         self._lock = threading.RLock()
         self._stop = threading.Event()
@@ -228,11 +192,11 @@ class Supervisor:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self.config.boot_timeout):
+        if not parent_conn.poll(BOOT_TIMEOUT_S):
             process.terminate()
             raise RuntimeError(
                 f"worker {worker.spec.index} did not report a port "
-                f"within {self.config.boot_timeout:g}s"
+                f"within {BOOT_TIMEOUT_S:g}s"
             )
         port = parent_conn.recv()
         parent_conn.close()
@@ -240,8 +204,8 @@ class Supervisor:
             worker.process = process
             worker.port = port
             worker.client = ProverClient(
-                f"http://{worker.spec.host}:{port}",
-                timeout=self.config.probe_timeout,
+                f"http://{worker.spec.config.host}:{port}",
+                timeout=PROBE_TIMEOUT_S,
                 retries=2,
             )
             worker.state = WorkerState.HEALTHY
@@ -281,7 +245,7 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     def _probe_loop(self) -> None:
-        while not self._stop.wait(self.config.probe_interval):
+        while not self._stop.wait(PROBE_INTERVAL_S):
             for worker in self._workers:
                 try:
                     self._tend(worker)
@@ -327,19 +291,14 @@ class Supervisor:
         with self._lock:
             worker.state = WorkerState.DOWN
             delay = min(
-                self.config.restart_max_delay,
-                self.config.restart_base_delay * 2**worker.restarts,
+                RESTART_MAX_DELAY_S,
+                RESTART_BASE_DELAY_S * 2**worker.restarts,
             )
-            delay *= 1.0 + self.config.restart_jitter * stable_jitter(
-                self.config.seed, worker.spec.index, worker.restarts
+            delay *= 1.0 + RESTART_JITTER * stable_jitter(
+                0, worker.spec.index, worker.restarts
             )
             worker.restart_at = now + delay
         self._incr("cluster.worker_deaths")
-        if self.on_worker_lost is not None:
-            try:
-                self.on_worker_lost(worker.spec.index)
-            except Exception:  # noqa: BLE001
-                pass
 
     def _restart(self, worker: _Worker) -> None:
         with self._lock:
@@ -354,13 +313,11 @@ class Supervisor:
     def _note_failure(self, worker: _Worker) -> None:
         """One probe/transport failure (lock held by callers or here)."""
         worker.failures += 1
-        if worker.failures >= self.config.breaker_threshold:
+        if worker.failures >= BREAKER_THRESHOLD:
             if worker.state == WorkerState.HEALTHY:
                 self._incr("cluster.breaker_opens")
             worker.state = WorkerState.SUSPECT
-            worker.suspect_until = (
-                time.monotonic() + self.config.breaker_cooldown
-            )
+            worker.suspect_until = time.monotonic() + BREAKER_COOLDOWN_S
 
     # ------------------------------------------------------------------
     # Router-facing API

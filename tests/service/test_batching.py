@@ -282,55 +282,3 @@ class TestDeterminismContract:
         stats = batcher.stats()
         assert stats["queries"] == len(requests)
 
-
-class TestSubmitApi:
-    """The async submit() surface behind generate()."""
-
-    def test_submit_coalesces_like_generate(self):
-        model = get_model("gpt-4o-mini")
-        inner = RecordingInner(model)
-        requests = [(f"Goal {i} : n + 0 = n", 3) for i in range(3)]
-        batcher = BatchingGenerator(
-            inner, BatchPolicy(batch_window=30.0, max_batch_size=3)
-        )
-        try:
-            handles = [batcher.submit(p, k) for p, k in requests]
-            results = [h.result() for h in handles]
-        finally:
-            batcher.close()
-        assert inner.batch_sizes == [3]
-        assert inner.solo_calls == 0
-        assert results == [model.generate(p, k) for p, k in requests]
-
-    def test_submit_with_batching_disabled_resolves_inline(self):
-        inner = RecordingInner(get_model("gpt-4o"))
-        batcher = BatchingGenerator(
-            inner, BatchPolicy(batch_window=0.0, max_batch_size=1)
-        )
-        handle = batcher.submit("Goal n = n", 2)
-        assert inner.solo_calls == 1  # executed before result()
-        assert handle.result() == inner.model.generate("Goal n = n", 2)
-        batcher.close()
-
-    def test_submit_error_surfaces_at_result(self):
-        class Broken(RecordingInner):
-            def generate(self, prompt, k):
-                raise RuntimeError("endpoint down")
-
-        batcher = BatchingGenerator(
-            Broken(get_model("gpt-4o")),
-            BatchPolicy(batch_window=0.0, max_batch_size=1),
-        )
-        handle = batcher.submit("Goal n = n", 2)
-        with pytest.raises(RuntimeError):
-            handle.result()
-        batcher.close()
-
-    def test_submit_after_close_rejected(self):
-        batcher = BatchingGenerator(
-            RecordingInner(get_model("gpt-4o")),
-            BatchPolicy(batch_window=0.01, max_batch_size=4),
-        )
-        batcher.close()
-        with pytest.raises(RuntimeError):
-            batcher.submit("Goal n = n", 2)

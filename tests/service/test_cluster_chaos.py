@@ -17,7 +17,7 @@ import pytest
 
 from repro.eval.store import OutcomeRecord, RunStore
 from repro.eval.tasks import task_from_json
-from repro.service import ProverClient
+from repro.service import ProverClient, ServerConfig
 from repro.service.cluster import ClusterConfig, HashRing, ProverCluster
 
 MODEL = "gpt-4o-mini"
@@ -34,7 +34,7 @@ def bodies():
 
 def boot(tmp_path, name, **overrides):
     overrides.setdefault("workers", 2)
-    overrides.setdefault("threads", 2)
+    overrides.setdefault("worker", ServerConfig(workers=2, max_queued=64))
     overrides.setdefault("state_dir", str(tmp_path / name))
     cluster = ProverCluster(ClusterConfig(**overrides))
     cluster.start()
@@ -97,6 +97,61 @@ def test_ring_reroutes_only_the_dead_workers_ranges():
         else:
             assert after[key] in (0, 2)
     assert ring.lookup("anything", lambda i: False) is None
+
+
+# ----------------------------------------------------------------------
+# Router wiring (no processes)
+# ----------------------------------------------------------------------
+
+
+def test_cli_pipeline_depth_reaches_every_cluster_worker(monkeypatch):
+    import repro.service
+    from repro.cli import main
+
+    served = []
+    monkeypatch.setattr(
+        repro.service, "serve_forever", lambda api: served.append(api) or 0
+    )
+    argv = ["server", "--cluster", "2", "--pipeline-depth", "4"]
+    assert main(argv) == 0
+    (cluster,) = served
+    assert isinstance(cluster, ProverCluster)
+    specs = [worker.spec for worker in cluster.supervisor._workers]
+    assert [spec.config.pipeline_depth for spec in specs] == [4, 4]
+
+
+class SlowWorker:
+    """A worker client whose job is still running for a few polls."""
+
+    def __init__(self, record, rounds):
+        self.record, self.rounds, self.polls = record, rounds, []
+
+    def prove(self, **body):
+        return {"job": "job-1", "state": "queued", "cached": False}
+
+    def job(self, job_id, wait=None):
+        self.polls.append(job_id)
+        if len(self.polls) < self.rounds:
+            return {"id": job_id, "state": "running"}
+        return {"id": job_id, "state": "done", "record": self.record}
+
+
+def test_router_follows_a_worker_job_across_long_polls(monkeypatch):
+    cluster = ProverCluster(ClusterConfig(workers=1))
+    body = bodies()[0]
+    record = OutcomeRecord(
+        theorem=body["theorem"], model=MODEL, hinted=False,
+        status="proved", queries=1,
+    ).to_json()
+    worker = SlowWorker(record, rounds=3)
+    monkeypatch.setattr(cluster.supervisor, "client_for", lambda i: worker)
+    monkeypatch.setattr(cluster.supervisor, "routable", lambda i: True)
+    job = cluster.scheduler.submit(task_from_json(body), body)
+    assert job.done.wait(10.0)
+    assert job.error is None
+    assert job.record.to_json() == record
+    assert worker.polls == ["job-1"] * 3
+    assert cluster.scheduler.shutdown(timeout=10.0)
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +235,33 @@ def test_router_crash_replays_journal_byte_identical(tmp_path):
     assert replayed == baseline
 
 
+def test_router_reboots_keep_one_cache_line_per_key(tmp_path):
+    cluster = boot(tmp_path, "reboot", workers=1)
+    try:
+        run_all(cluster, bodies())
+    finally:
+        cluster.close(timeout=30)
+    cache_path = tmp_path / "reboot" / "router-cache.jsonl"
+
+    def cache_lines():
+        return len(cache_path.read_text(encoding="utf-8").splitlines())
+
+    assert cache_lines() == len(THEOREMS)
+    for _ in range(3):
+        boot(tmp_path, "reboot", workers=1).close(timeout=30)
+    assert cache_lines() == len(THEOREMS)
+    # A crash between the journal's done line and the cache append
+    # leaves the key out of the cache: the next boot re-warms it.
+    cache_path.unlink()
+    cluster = boot(tmp_path, "reboot", workers=1)
+    try:
+        warm, payload = cluster.submit(dict(bodies()[0]))
+        assert warm == 200 and payload["cached"]
+    finally:
+        cluster.close(timeout=30)
+    assert cache_lines() == len(THEOREMS)
+
+
 def test_corrupt_journal_line_is_quarantined_not_fatal(tmp_path):
     cluster = boot(tmp_path, "corrupt")
     try:
@@ -195,7 +277,11 @@ def test_corrupt_journal_line_is_quarantined_not_fatal(tmp_path):
     try:
         assert cluster.journal.quarantined == 1
         assert cluster.journal.quarantine_path().exists()
-        run_all(cluster, bodies()[:1])  # sweep still completes
+        # The quarantined line's job left orphaned lines: its id stays
+        # taken, or a new job would inherit them at the next replay.
+        journaled = set(cluster.journal.entries)
+        ids = run_all(cluster, bodies()[:1])  # sweep still completes
+        assert not journaled & set(ids)
         _, snapshot = cluster.metrics_snapshot()
         assert (
             snapshot["service"]["cluster"]["journal"]["quarantined"] == 1
@@ -248,6 +334,9 @@ def test_degradation_ladder_is_observable_on_healthz(tmp_path):
         text = client.metrics_text()
         assert "repro_cluster_degraded 2" in text
         assert "repro_cluster_worker_restarts_total" in text
+        # Router jobs are scheduler jobs, reported like a single process.
+        assert 'repro_service_jobs{state="done"}' in text
+        assert "repro_service_in_flight 0" in text
     finally:
         httpd.shutdown()
         httpd.server_close()

@@ -278,7 +278,7 @@ class TestErrorMapping:
     def test_queue_full_maps_to_429(self, project, monkeypatch):
         service = ProverService(ServerConfig(port=0), project=project)
 
-        def full(task):
+        def full(task, *rest):
             raise QueueFullError("queue full")
 
         monkeypatch.setattr(service.scheduler, "submit", full)
@@ -291,7 +291,7 @@ class TestErrorMapping:
     def test_draining_maps_to_503(self, project, monkeypatch):
         service = ProverService(ServerConfig(port=0), project=project)
 
-        def draining(task):
+        def draining(task, *rest):
             raise ShuttingDownError("draining")
 
         monkeypatch.setattr(service.scheduler, "submit", draining)
@@ -300,6 +300,23 @@ class TestErrorMapping:
         )
         assert status == 503
         service.close(timeout=10.0)
+
+
+class TestSearchThreads:
+    def test_every_search_thread_starts_at_the_first_request(self, project):
+        # A burst's searches start together (see ProverService.submit).
+        service = ProverService(
+            ServerConfig(port=0, workers=3), project=project
+        )
+        try:
+            assert not service.scheduler._threads
+            status, _ = service.submit(
+                {"theorem": "rev_involutive", "model": "gpt-4o", "fuel": 2}
+            )
+            assert status in (200, 202)
+            assert len(service.scheduler._threads) == 3
+        finally:
+            service.close(timeout=10.0)
 
 
 class TestDeadline:
