@@ -34,7 +34,17 @@ class TypeError_(KernelError):
 
 
 class UnificationError(KernelError):
-    """Two terms (or types) could not be unified."""
+    """Two terms (or types) could not be unified.
+
+    Raised with a message, or with the two terms that clash.  Search
+    backtracking drops most clashes unread, so a clash formats its
+    ``cannot unify X with Y`` message only when ``str()`` asks for it.
+    """
+
+    def __str__(self) -> str:
+        if len(self.args) == 2:
+            return f"cannot unify {self.args[0]} with {self.args[1]}"
+        return super().__str__()
 
 
 class ReductionError(KernelError):

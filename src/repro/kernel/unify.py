@@ -233,7 +233,7 @@ def _unify(
                         # requires fresh progress.
                         tasks.append((_PAIR, r1, r2, d))
                         break
-                current = UnificationError(f"cannot unify {ra} with {rb}")
+                current = UnificationError(ra, rb)
 
 
 def _retry_whnf(
@@ -253,7 +253,7 @@ def _retry_whnf(
             # step-bounded and each retry requires fresh progress.
             tasks.append((_PAIR, r1, r2, depth))
             return
-    raise UnificationError(f"cannot unify {t1} with {t2}")
+    raise UnificationError(t1, t2)
 
 
 def _solve_meta(meta: Meta, value: Term, store: MetaStore, depth: int) -> None:

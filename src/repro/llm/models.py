@@ -23,7 +23,6 @@ from repro.llm.profiles import PROFILES, ModelProfile
 from repro.llm.promptview import parse_prompt
 from repro.llm.retrieval import hint_head_priors, hint_proposals, retrieve
 from repro.llm.sampling import rank_and_sample, stable_seed
-from repro.llm.cost import UsageMeter
 
 __all__ = ["SimulatedModel", "get_model", "available_models"]
 
@@ -37,12 +36,10 @@ class SimulatedModel:
         self.profile = profile
         self.name = profile.name
         self.context_window = profile.context_window
-        self.usage = UsageMeter()
 
     def generate(self, prompt: str, k: int) -> List[Candidate]:
         if k <= 0:
             raise GenerationError("k must be positive")
-        self.usage.record_query(prompt, k)
         view = parse_prompt(prompt)
         if not view.goal_text:
             # Proof display says no goals; a model would emit Qed-ish noise.
@@ -74,8 +71,6 @@ class SimulatedModel:
             # tactic the prompt says the checker already refused here.
             refused = set(view.failed_tactics)
             candidates = [c for c in candidates if c.tactic not in refused]
-        for candidate in candidates:
-            self.usage.record_output(candidate.tactic)
         return candidates
 
     def generate_batch(

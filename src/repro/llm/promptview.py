@@ -28,6 +28,7 @@ _PROOF_RE = re.compile(
     r"Lemma\s+(\w+)\s*:.*?\.\nProof\.\n(.*?)\nQed\.",
     re.DOTALL,
 )
+_PROOF_MARK = ".\nProof.\n"
 _DEFINITION_RE = re.compile(r"^Definition\s+(\w+)", re.MULTILINE)
 _FIXPOINT_RE = re.compile(r"^Fixpoint\s+(\w+)", re.MULTILINE)
 _INDUCTIVE_RE = re.compile(
@@ -190,10 +191,13 @@ def _parse_context(context: str) -> tuple:
             name, statement, conclusion, head, is_eq,
             binders=_binder_names(statement),
         )
-    for match in _PROOF_RE.finditer(context):
-        name, body = match.group(1), match.group(2).strip()
-        if name in lemmas and "(* ... *)" not in body:
-            lemmas[name].proof = body
+    # Every hint proof contains this literal.  Without one, the lazy
+    # ``.*?`` from each ``Lemma`` would scan to the end of the context.
+    if _PROOF_MARK in context:
+        for match in _PROOF_RE.finditer(context):
+            name, body = match.group(1), match.group(2).strip()
+            if name in lemmas and "(* ... *)" not in body:
+                lemmas[name].proof = body
     for match in _RULE_RE.finditer(context):
         name, statement = match.group(1), " ".join(match.group(2).split())
         if name not in lemmas:

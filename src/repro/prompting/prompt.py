@@ -28,18 +28,27 @@ Two optional sections extend the layout without disturbing it:
 
 Both default to absent, leaving prompts byte-identical to the
 single-shot layout.
+
+Everything above the theorem header is fixed per builder, so a
+windowed builder counts the context's tokens once, line by line, and
+each :meth:`PromptBuilder.build` counts only the lines of its own
+suffix.  A blank line joins the two, so the prompt's lines are the
+context's followed by the suffix's.  The cut then equals
+:func:`~repro.prompting.truncation.truncate_to_window` on the whole
+prompt: no token spans a line break, so the per-line counts sum to the
+whole prompt's count and the cut lands on the same line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.corpus.loader import Project
 from repro.corpus.model import Theorem
 from repro.kernel.goals import ProofState
 from repro.prompting.context import context_for, reduced_context_for
-from repro.prompting.truncation import truncate_to_window
+from repro.prompting.truncation import counted_lines, keep_end
 
 __all__ = ["PromptBuilder", "GOAL_HEADER", "THEOREM_HEADER"]
 
@@ -69,12 +78,13 @@ class PromptBuilder:
             self._context = context_for(
                 self.project, self.theorem, self.hint_names
             )
+        # The context's lines, through the blank line that ends it, and
+        # their token counts: counted once, by the first windowed build.
+        self._head: Optional[Tuple[List[str], List[int]]] = None
 
     def build(self, state: ProofState, steps: Sequence[str]) -> str:
         """The prompt for predicting the next tactic at ``state``."""
-        parts: List[str] = [self._context]
-        parts.append("")
-        parts.append(THEOREM_HEADER)
+        parts: List[str] = [THEOREM_HEADER]
         parts.append(
             f"Lemma {self.theorem.name} : {self.theorem.statement_text}."
         )
@@ -88,7 +98,16 @@ class PromptBuilder:
         parts.append(_FOOTER)
         if self.attempt_salt:
             parts.append(f"(* sample {self.attempt_salt} *)")
-        prompt = "\n".join(parts)
-        if self.window_tokens is not None:
-            prompt = truncate_to_window(prompt, self.window_tokens)
-        return prompt
+        suffix = "\n".join(parts)
+        prompt = self._context + "\n\n" + suffix
+        if self.window_tokens is None:
+            return prompt
+        if self._head is None:
+            self._head = counted_lines(self._context + "\n\n")
+        head_lines, head_counts = self._head
+        lines, counts = counted_lines(suffix)
+        if sum(head_counts) + sum(counts) <= self.window_tokens:
+            return prompt
+        return keep_end(
+            head_lines + lines, head_counts + counts, self.window_tokens
+        )

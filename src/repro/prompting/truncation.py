@@ -8,9 +8,11 @@ survives; the distant beginning is dropped.
 
 from __future__ import annotations
 
-from repro.corpus.tokenizer import count_tokens, tokenize
+from typing import List, Sequence, Tuple
 
-__all__ = ["truncate_to_window"]
+from repro.corpus.tokenizer import count_tokens
+
+__all__ = ["truncate_to_window", "counted_lines", "keep_end"]
 
 _MARKER = "(* ...context truncated... *)\n"
 
@@ -24,15 +26,33 @@ def truncate_to_window(prompt: str, window_tokens: int) -> str:
     """
     if count_tokens(prompt) <= window_tokens:
         return prompt
-    lines = prompt.splitlines(keepends=True)
-    kept: list = []
+    return keep_end(*counted_lines(prompt), window_tokens)
+
+
+def counted_lines(text: str) -> Tuple[List[str], List[int]]:
+    """``text``'s lines (ends kept) and the token count of each.
+
+    No token spans a line break, so the counts sum to
+    ``count_tokens(text)``.
+    """
+    lines = text.splitlines(keepends=True)
+    return lines, [count_tokens(line) for line in lines]
+
+
+def keep_end(
+    lines: List[str], line_tokens: Sequence[int], window_tokens: int
+) -> str:
+    """The marked trailing ``lines`` that fit ``window_tokens``, given
+    each line's token count (the last line is kept even alone over
+    budget)."""
+    start = len(lines)
     total = 0
-    for line in reversed(lines):
-        line_tokens = count_tokens(line)
-        if total + line_tokens > window_tokens and kept:
+    while start > 0:
+        count = line_tokens[start - 1]
+        if total + count > window_tokens and start < len(lines):
             break
-        kept.append(line)
-        total += line_tokens
+        start -= 1
+        total += count
         if total >= window_tokens:
             break
-    return _MARKER + "".join(reversed(kept))
+    return _MARKER + "".join(lines[start:])

@@ -64,7 +64,7 @@ from repro.service.client import ProverServiceError, ProverTransportError
 from repro.service.journal import JobJournal
 from repro.service.scheduler import Job, SchedulerConfig
 from repro.service.server import Frontend, ServerConfig
-from repro.service.supervisor import Supervisor, WorkerSpec
+from repro.service.supervisor import PROBE_TIMEOUT_S, Supervisor, WorkerSpec
 
 __all__ = [
     "ClusterConfig",
@@ -78,7 +78,10 @@ DEGRADATION_LADDER = ("healthy", "shed_adhoc", "cache_only", "draining")
 VNODES = 64  # ring points per worker
 REDISPATCH_LIMIT = 5  # placements of one job after it was lost
 DISPATCH_WAIT_S = 30.0  # how long a job waits for a routable worker
-POLL_S = 2.0  # router->worker long-poll per round
+# Router->worker long-poll per round.  It must end well inside the
+# worker client's socket timeout, or a poll that runs its full wait
+# times out on the router side and is retried.
+POLL_S = PROBE_TIMEOUT_S / 2
 
 
 @dataclass(frozen=True)

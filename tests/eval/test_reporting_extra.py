@@ -1,9 +1,8 @@
-"""Transcript, cost metering, and CLI plumbing."""
+"""Transcript and CLI plumbing."""
 
 import pytest
 
 from repro.core.transcript import CandidateEvent, ExpansionEvent, Transcript
-from repro.llm.cost import UsageMeter
 
 
 class TestTranscript:
@@ -16,33 +15,6 @@ class TestTranscript:
         transcript.record(event)
         text = transcript.summary()
         assert "thm" in text and "intros" in text and "valid" in text
-
-
-class TestUsageMeter:
-    def test_accumulates_and_resets(self):
-        meter = UsageMeter()
-        meter.record_query("some prompt text", 8)
-        meter.record_output("intros")
-        snap = meter.snapshot()
-        assert snap["queries"] == 1
-        assert snap["prompt_tokens"] > 0
-        assert snap["output_tokens"] > 0
-        meter.reset()
-        assert meter.snapshot()["queries"] == 0
-
-    def test_model_meters_usage(self, project):
-        from repro.kernel.goals import initial_state
-        from repro.llm import get_model
-        from repro.prompting import PromptBuilder
-
-        model = get_model("gemini-1.5-flash")
-        model.usage.reset()
-        theorem = project.theorems[0]
-        builder = PromptBuilder(project, theorem)
-        state = initial_state(project.env_for(theorem), theorem.statement)
-        model.generate(builder.build(state, []), 4)
-        assert model.usage.queries == 1
-        assert model.usage.prompt_tokens > 100
 
 
 class TestCli:

@@ -1,5 +1,7 @@
 """Term unification and elaboration."""
 
+import pickle
+
 import pytest
 
 from repro.errors import TypeError_, UnificationError
@@ -64,6 +66,58 @@ class TestUnify:
         t1 = Forall("a", NAT, Eq(NAT, Var("a"), Var("a")))
         t2 = Forall("b", NAT, Eq(NAT, Var("b"), Var("b")))
         unify(t1, t2, store)  # no exception
+
+
+_CLASHES = [
+    (Const("O"), napp("S", Const("O")), "cannot unify 0 with 1"),
+    # The argument clash unwinds to the enclosing application's attempt.
+    (
+        napp("pair", nat_lit(0), Const("O")),
+        napp("pair", nat_lit(0), napp("S", Const("O"))),
+        "cannot unify pair 0 0 with pair 0 1",
+    ),
+    (
+        napp("app", Var("l"), Const("nil")),
+        napp("cons", Var("x"), Var("l")),
+        "cannot unify l ++ nil with x :: l",
+    ),
+]
+
+
+class TestClashMessages:
+    """A clash keeps its two terms and formats them only on ``str()``."""
+
+    @pytest.mark.parametrize("lhs, rhs, message", _CLASHES)
+    def test_message_is_the_eager_format(self, env, lhs, rhs, message):
+        with pytest.raises(UnificationError) as info:
+            unify(lhs, rhs, MetaStore())
+        exc = info.value
+        assert str(exc) == message
+        assert str(exc) == f"cannot unify {exc.args[0]} with {exc.args[1]}"
+        assert str(pickle.loads(pickle.dumps(exc))) == message
+
+    def test_dropped_clash_prints_no_term(self, env, monkeypatch):
+        import repro.kernel.pretty as pretty
+
+        printed = []
+        original = pretty.pp_term
+
+        def counting(term):
+            printed.append(term)
+            return original(term)
+
+        monkeypatch.setattr(pretty, "pp_term", counting)
+        for lhs, rhs, _ in _CLASHES:
+            try:
+                unify(lhs, rhs, MetaStore())
+            except UnificationError:
+                pass
+        assert printed == []
+
+    def test_message_errors_unchanged(self):
+        exc = UnificationError("occurs check: ?3")
+        assert str(exc) == "occurs check: ?3"
+        assert str(pickle.loads(pickle.dumps(exc))) == "occurs check: ?3"
 
 
 class TestElaboration:

@@ -2,11 +2,13 @@
 
 import pytest
 
+import repro.corpus.tokenizer as tokenizer
 from repro.corpus.splits import make_splits
 from repro.corpus.tokenizer import count_tokens
 from repro.kernel.goals import initial_state
 from repro.prompting import (
     GOAL_HEADER,
+    THEOREM_HEADER,
     PromptBuilder,
     context_for,
     reduced_context_for,
@@ -76,6 +78,87 @@ class TestPromptBuilder:
         prompt = builder.build(state, [])
         assert count_tokens(prompt) <= 1100  # line-granular slack
         assert GOAL_HEADER in prompt  # the tail always survives
+
+
+_FEEDBACK = "\n".join(
+    [
+        "(* Previous attempt failed *)",
+        "(* The checker rejected: apply app_nil_r *)",
+        "(* Checker error: cannot unify l ++ nil with x :: l *)",
+        "(* repair round 1 *)",
+    ]
+)
+_STEP_LISTS = (
+    [],
+    ["intros"],
+    ["intros", "induction l", "simpl", "reflexivity", "simpl"],
+    [f"rewrite lemma_{i} in H{i}" for i in range(40)],
+)
+
+
+class TestWindowedBuild:
+    """``build`` counts the context once and must cut exactly where
+    ``truncate_to_window`` cuts the whole prompt."""
+
+    @pytest.mark.parametrize(
+        "name", ["rev_involutive", "plus_comm", "sb_ok_used_bound"]
+    )
+    @pytest.mark.parametrize("hinted", [False, True])
+    @pytest.mark.parametrize(
+        "feedback, salt",
+        [(None, ""), (_FEEDBACK, ""), (None, "7"), (_FEEDBACK, "3")],
+        ids=["plain", "feedback", "salt", "feedback+salt"],
+    )
+    def test_equals_reference(self, project, name, hinted, feedback, salt):
+        theorem = project.theorem(name)
+        settings = dict(
+            hint_names=make_splits(project).hint_names if hinted else None,
+            feedback=feedback,
+            attempt_salt=salt,
+        )
+        plain = PromptBuilder(project, theorem, **settings)
+        state = initial_state(project.env_for(theorem), theorem.statement)
+        prompts = [plain.build(state, steps) for steps in _STEP_LISTS]
+        whole = max(count_tokens(prompt) for prompt in prompts)
+        suffix = min(
+            count_tokens(prompt[prompt.rindex(THEOREM_HEADER) :])
+            for prompt in prompts
+        )
+        windows = (1, suffix - 1, suffix, whole // 3, whole // 2, whole,
+                   whole + 40)
+        for window in windows:
+            builder = PromptBuilder(
+                project, theorem, window_tokens=window, **settings
+            )
+            for steps, prompt in zip(_STEP_LISTS, prompts):
+                assert builder.build(state, steps) == truncate_to_window(
+                    prompt, window
+                ), (window, steps)
+
+    def test_context_tokenized_once(self, project, monkeypatch):
+        theorem = project.theorem("sb_ok_used_bound")
+        state = initial_state(project.env_for(theorem), theorem.statement)
+        step_lists = [[f"apply lemma_{i}"] * i for i in range(20)]
+        context = context_for(project, theorem)
+        plain = PromptBuilder(project, theorem)
+        suffix = max(
+            len(plain.build(state, steps)) - len(context)
+            for steps in step_lists
+        )
+        window = count_tokens(plain.build(state, [])) // 2
+
+        seen = []
+        original = tokenizer.tokenize
+
+        def counting(text):
+            seen.append(len(text))
+            return original(text)
+
+        monkeypatch.setattr(tokenizer, "tokenize", counting)
+        builder = PromptBuilder(project, theorem, window_tokens=window)
+        for steps in step_lists:
+            assert builder.build(state, steps).startswith("(* ...context")
+        assert sum(seen) <= len(context) + len(step_lists) * suffix + 16
 
 
 class TestTruncation:

@@ -19,6 +19,7 @@ from repro.eval.store import OutcomeRecord, RunStore
 from repro.eval.tasks import task_from_json
 from repro.service import ProverClient, ServerConfig
 from repro.service.cluster import ClusterConfig, HashRing, ProverCluster
+from repro.service.supervisor import PROBE_TIMEOUT_S
 
 MODEL = "gpt-4o-mini"
 FUEL = 10
@@ -196,6 +197,24 @@ def test_kill_worker_mid_job_recovers_byte_identical(tmp_path):
     finally:
         cluster.close(timeout=30)
     assert recovered == baseline
+
+
+def test_stall_longer_than_client_timeout_is_not_a_worker_loss(tmp_path):
+    # The router long-polls a stalled job for many rounds; each round
+    # must answer inside the worker client's socket timeout.
+    stall = 2.5 * PROBE_TIMEOUT_S
+    cluster = boot(
+        tmp_path,
+        "stall",
+        workers=1,
+        cluster_faults=f"stall_job={THEOREMS[0]},stall_seconds={stall:g}",
+    )
+    try:
+        run_all(cluster, bodies()[:1])
+        assert cluster.metrics.counter("cluster.jobs.redispatched") == 0
+        assert cluster.supervisor.client_for(0).transport_retries == 0
+    finally:
+        cluster.close(timeout=30)
 
 
 def test_router_crash_replays_journal_byte_identical(tmp_path):
