@@ -52,6 +52,9 @@ class Environment:
         # reduction memo keys on (env, generation, term) so entries
         # cached mid-load never survive a later declaration.
         self.generation: int = 0
+        # ``auto``'s split hint database with the state it was built
+        # for; owned by :mod:`repro.tactics.auto_`.
+        self.auto_index: Optional[Tuple[tuple, tuple]] = None
 
     # ------------------------------------------------------------------
     # Declarations

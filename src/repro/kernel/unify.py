@@ -19,9 +19,10 @@ unification-up-to-conversion in a controlled way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Container, Dict, Optional, Tuple
 
 from repro.errors import UnificationError
+from repro.kernel.env import Environment
 from repro.kernel.subst import subst_metas, subst_var
 from repro.kernel.terms import (
     App,
@@ -42,7 +43,7 @@ from repro.kernel.terms import (
     meta_set,
 )
 
-__all__ = ["MetaStore", "unify", "match_term"]
+__all__ = ["MetaStore", "unify", "match_term", "rigid_head"]
 
 Reducer = Callable[[Term], Term]
 
@@ -254,6 +255,45 @@ def _retry_whnf(
             tasks.append((_PAIR, r1, r2, depth))
             return
     raise UnificationError(t1, t2)
+
+
+# Node kinds that only ever unify with their own kind, and that ``whnf``
+# leaves in place.
+_RIGID_NODES = frozenset((Eq, And, Or, Impl, Forall, Exists, TrueP, FalseP))
+
+
+def rigid_head(
+    term: Term, env: Environment, bound: Container[str] = ()
+) -> Optional[object]:
+    """The head of ``term`` if :func:`_retry_whnf` can never change it.
+
+    The head is the function of an application, or else the term
+    itself.  It is *rigid* — returned as the head term, or as the node
+    class for a connective or quantifier — when it is a constant that
+    is neither a fixpoint nor an abbreviation of ``env``, a variable not
+    in ``bound``, or one of ``=``, ``/\\``, ``\\/``, ``->``, ``forall``,
+    ``exists``, ``True`` and ``False``.  Anything else is *flexible*
+    (``None``) and may match anything: a metavariable, a ``fun`` (a
+    beta-redex), a name in ``bound`` (a statement's own binder, which
+    becomes a metavariable), or a constant ``whnf`` can unfold.
+
+    When two terms have different rigid heads, ``unify(a, b, store,
+    make_whnf(env))`` always raises: the top pair clashes, ``whnf``
+    changes neither side, and the store is rolled back.  So a caller may
+    skip that attempt without any observable difference.
+    """
+    head = term.fn if term.__class__ is App else term
+    cls = head.__class__
+    if cls is Const:
+        name = head.name  # type: ignore[attr-defined]
+        if name in env.fixpoints or name in env.abbreviations:
+            return None
+        return head
+    if cls is Var:
+        return None if head.name in bound else head  # type: ignore[attr-defined]
+    if cls in _RIGID_NODES:
+        return cls
+    return None
 
 
 def _solve_meta(meta: Meta, value: Term, store: MetaStore, depth: int) -> None:

@@ -166,7 +166,30 @@ def idents(text: str) -> Set[str]:
     return set(_IDENT_RE.findall(text))
 
 
-_CONTEXT_CACHE: Dict[int, tuple] = {}
+# ``(conclusion, head, is_equation, binders)`` of each statement text
+# read so far: the prompts of one project state the same lemmas again
+# and again.  Every part is a pure function of the text, so the memo is
+# exact; it is emptied when full, and a racing thread can only make it
+# parse a statement again.
+_STATEMENT_SHAPES: Dict[str, Tuple[str, str, bool, frozenset]] = {}
+_STATEMENT_SHAPES_MAX = 4_096
+
+
+def _lemma_view(name: str, statement: str) -> LemmaView:
+    """A fresh view of ``statement`` (``proof`` is set per context)."""
+    shape = _STATEMENT_SHAPES.get(statement)
+    if shape is None:
+        conclusion = _conclusion_of(statement)
+        head, is_eq = _head_of(conclusion)
+        shape = (conclusion, head, is_eq, _binder_names(statement))
+        if len(_STATEMENT_SHAPES) >= _STATEMENT_SHAPES_MAX:
+            _STATEMENT_SHAPES.clear()
+        _STATEMENT_SHAPES[statement] = shape
+    conclusion, head, is_eq, binders = shape
+    return LemmaView(name, statement, conclusion, head, is_eq, binders=binders)
+
+
+_CONTEXT_CACHE: Dict[str, tuple] = {}
 
 
 def _parse_context(context: str) -> tuple:
@@ -174,10 +197,10 @@ def _parse_context(context: str) -> tuple:
 
     The search queries the model up to 128 times per theorem with the
     same context prefix; caching its parse keeps query latency low
-    without changing what the model can see.
+    without changing what the model can see.  The cache is keyed by the
+    context text itself, so two contexts never share a parse.
     """
-    key = hash(context)
-    cached = _CONTEXT_CACHE.get(key)
+    cached = _CONTEXT_CACHE.get(context)
     if cached is not None:
         return cached
     lemmas: Dict[str, LemmaView] = {}
@@ -185,12 +208,7 @@ def _parse_context(context: str) -> tuple:
         name, statement = match.group(1), " ".join(match.group(2).split())
         if statement.endswith("Proof. (* ... *) Qed") or "Proof" in statement:
             statement = statement.split(".")[0]
-        conclusion = _conclusion_of(statement)
-        head, is_eq = _head_of(conclusion)
-        lemmas[name] = LemmaView(
-            name, statement, conclusion, head, is_eq,
-            binders=_binder_names(statement),
-        )
+        lemmas[name] = _lemma_view(name, statement)
     # Every hint proof contains this literal.  Without one, the lazy
     # ``.*?`` from each ``Lemma`` would scan to the end of the context.
     if _PROOF_MARK in context:
@@ -201,12 +219,7 @@ def _parse_context(context: str) -> tuple:
     for match in _RULE_RE.finditer(context):
         name, statement = match.group(1), " ".join(match.group(2).split())
         if name not in lemmas:
-            conclusion = _conclusion_of(statement)
-            head, is_eq = _head_of(conclusion)
-            lemmas[name] = LemmaView(
-                name, statement, conclusion, head, is_eq,
-                binders=_binder_names(statement),
-            )
+            lemmas[name] = _lemma_view(name, statement)
     definitions = _DEFINITION_RE.findall(context)
     fixpoints = _FIXPOINT_RE.findall(context)
     inductive_preds = set()
@@ -216,7 +229,7 @@ def _parse_context(context: str) -> tuple:
     result = (lemmas, definitions, fixpoints, inductive_preds)
     if len(_CONTEXT_CACHE) > 64:
         _CONTEXT_CACHE.clear()
-    _CONTEXT_CACHE[key] = result
+    _CONTEXT_CACHE[context] = result
     return result
 
 

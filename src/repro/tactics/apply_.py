@@ -11,11 +11,7 @@ from repro.kernel.terms import metas_of
 from repro.kernel.unify import unify
 from repro.tactics.ast import Apply, Assumption, Exact
 from repro.tactics.base import executor
-from repro.tactics.common import (
-    apply_statement,
-    instantiate_statement,
-    statement_of_name,
-)
+from repro.tactics.common import apply_statement, statement_of_name
 
 
 @executor(Apply)

@@ -20,13 +20,14 @@ runs ``auto`` at the leaves, leaving residual subgoals like Coq's.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import itertools
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import TacticError, UnificationError
 from repro.kernel.env import Environment
 from repro.kernel.goals import Goal, HypDecl, ProofState, VarDecl
 from repro.kernel.reduction import make_whnf, whnf
-from repro.kernel.subst import alpha_eq, fresh_name, subst_var
+from repro.kernel.subst import alpha_eq, fresh_name, subst_var, subst_vars
 from repro.kernel.terms import (
     And,
     Eq,
@@ -43,12 +44,56 @@ from repro.kernel.terms import (
     metas_of,
     neg_body,
 )
-from repro.kernel.unify import MetaStore, unify
+from repro.kernel.unify import MetaStore, rigid_head, unify
 from repro.tactics.ast import Auto, Intuition, Trivial
 from repro.tactics.base import check_deadline, executor
-from repro.tactics.common import instantiate_statement
+from repro.tactics.common import binder_scope, split_statement
 
 _DEFAULT_DEPTH = 5
+
+
+class _Candidate(NamedTuple):
+    """A statement ``auto`` may apply, split once (see
+    :func:`~repro.tactics.common.split_statement`)."""
+
+    binders: Tuple[str, ...]
+    premises: Tuple[Tuple[Term, int], ...]
+    conclusion: Term
+    head: Optional[object]  # the conclusion's rigid head, None if flexible
+
+
+def _candidate(statement: Term, env: Environment) -> _Candidate:
+    binders, premises, conclusion = split_statement(statement)
+    return _Candidate(
+        binders, premises, conclusion, rigid_head(conclusion, env, binders)
+    )
+
+
+def _hint_index(env: Environment) -> Tuple[_Candidate, ...]:
+    """``env``'s hint database, split once per declaration state.
+
+    Kept on ``env`` and rebuilt only when its generation (which decides
+    what ``whnf`` can unfold) or a hint list changes.  It is published
+    whole: two racing threads may both build it, but neither ever reads
+    a partial index.
+    """
+    key = (env.generation, len(env.hint_resolve), len(env.hint_constructors))
+    index = env.auto_index
+    if index is None or index[0] != key:
+        hints = tuple(
+            _candidate(statement, env) for _, statement in env.auto_hints()
+        )
+        index = env.auto_index = (key, hints)
+    return index[1]
+
+
+def _clash(goal_head: Optional[object], head: Optional[object]) -> bool:
+    """Both heads are rigid and differ, so ``unify`` must fail (see
+    :func:`~repro.kernel.unify.rigid_head`); the attempt is skipped.
+    A failed attempt leaves no trace — the caller restores its
+    ``MetaStore`` snapshot, ``next_uid`` included — so skipping it
+    cannot be observed."""
+    return goal_head is not None and head is not None and head != goal_head
 
 
 class _Prover:
@@ -63,7 +108,9 @@ class _Prover:
         self.store = store
         self.allow_metas = allow_metas
         self.whnf = make_whnf(env)
-        self.hints = list(extra_hints) + env.auto_hints()
+        self.hints = tuple(
+            _candidate(statement, env) for _, statement in extra_hints
+        ) + _hint_index(env)
 
     # ------------------------------------------------------------------
 
@@ -74,7 +121,8 @@ class _Prover:
             return True
         if isinstance(concl, (Forall, Impl)):
             return self.solve(self._intro(goal, concl), depth)
-        if self._by_assumption(goal, concl):
+        head = rigid_head(concl, self.env)
+        if self._by_assumption(goal, concl, head):
             return True
         if self._by_reflexivity(concl):
             return True
@@ -82,13 +130,16 @@ class _Prover:
             return True
         if depth <= 0:
             return False
-        candidates: List[Term] = [
-            d.prop for d in goal.decls if isinstance(d, HypDecl)
+        hyps = [
+            _candidate(self.store.resolve(d.prop), self.env)
+            for d in goal.decls
+            if isinstance(d, HypDecl)
         ]
-        candidates.extend(stmt for _, stmt in self.hints)
-        for statement in candidates:
+        for candidate in itertools.chain(hyps, self.hints):
+            if _clash(head, candidate.head):
+                continue
             snapshot = self.store.snapshot()
-            if self._try_apply(goal, statement, concl, depth):
+            if self._try_apply(goal, candidate, concl, depth):
                 return True
             self.store.restore(snapshot)
         return False
@@ -106,13 +157,17 @@ class _Prover:
         name = fresh_name("H", taken)
         return Goal(goal.decls + (HypDecl(name, concl.lhs),), concl.rhs)
 
-    def _by_assumption(self, goal: Goal, concl: Term) -> bool:
+    def _by_assumption(
+        self, goal: Goal, concl: Term, head: Optional[object]
+    ) -> bool:
         for decl in goal.decls:
             if not isinstance(decl, HypDecl):
                 continue
             prop = self.store.resolve(decl.prop)
             if alpha_eq(prop, concl):
                 return True
+            if _clash(head, rigid_head(prop, self.env)):
+                continue
             snapshot = self.store.snapshot()
             try:
                 unify(prop, concl, self.store, self.whnf)
@@ -146,15 +201,21 @@ class _Prover:
         return False
 
     def _try_apply(
-        self, goal: Goal, statement: Term, concl: Term, depth: int
+        self, goal: Goal, candidate: _Candidate, concl: Term, depth: int
     ) -> bool:
-        metas, premises, conclusion = instantiate_statement(
-            self.store.resolve(statement), self.store
+        binders = candidate.binders
+        metas = [self.store.fresh(name) for name in binders]
+        conclusion = subst_vars(
+            candidate.conclusion, binder_scope(binders, metas, len(binders))
         )
         try:
             unify(conclusion, concl, self.store, self.whnf)
         except UnificationError:
             return False
+        premises = [
+            subst_vars(premise, binder_scope(binders, metas, count))
+            for premise, count in candidate.premises
+        ]
         if not self.allow_metas:
             for premise in premises:
                 if metas_of(self.store.resolve(premise)):

@@ -8,7 +8,7 @@ from repro.errors import TacticError, TypeError_, UnificationError
 from repro.kernel.env import Environment
 from repro.kernel.goals import Goal, HypDecl, ProofState, VarDecl
 from repro.kernel.reduction import make_whnf, simpl
-from repro.kernel.subst import alpha_eq, subst_var, subst_vars
+from repro.kernel.subst import alpha_eq, subst_vars
 from repro.kernel.terms import (
     Forall,
     Impl,
@@ -20,10 +20,12 @@ from repro.kernel.terms import (
 )
 from repro.kernel.typecheck import elaborate_term, infer_type
 from repro.kernel.types import Type
-from repro.kernel.unify import MetaStore, unify
+from repro.kernel.unify import MetaStore, rigid_head, unify
 
 __all__ = [
     "statement_of_name",
+    "split_statement",
+    "binder_scope",
     "instantiate_statement",
     "elaborate_in_goal",
     "infer_in_goal",
@@ -53,32 +55,63 @@ def statement_of_name(
     return "lemma", statement
 
 
+def split_statement(
+    statement: Term,
+) -> Tuple[Tuple[str, ...], Tuple[Tuple[Term, int], ...], Term]:
+    """Split a statement's leading ``forall``/``->`` prefix, substituting
+    nothing.
+
+    Quantifiers *behind* premises are stripped too (``forall x, P x ->
+    forall y, Q``), matching how ``apply`` digs for the final
+    conclusion.  Returns ``(binders, premises, conclusion)``: the bound
+    names in order, and each premise with the number of binders in
+    scope where it sits.
+    """
+    binders: List[str] = []
+    premises: List[Tuple[Term, int]] = []
+    current = statement
+    while True:
+        if isinstance(current, Forall):
+            binders.append(current.var)
+            current = current.body
+        elif isinstance(current, Impl):
+            premises.append((current.lhs, len(binders)))
+            current = current.rhs
+        else:
+            return tuple(binders), tuple(premises), current
+
+
+def binder_scope(
+    binders: Sequence[str], metas: Sequence[Meta], count: int
+) -> Dict[str, Term]:
+    """The substitution for the first ``count`` binders: a later binder
+    shadows an earlier one of the same name."""
+    return dict(zip(binders[:count], metas[:count]))
+
+
 def instantiate_statement(
     statement: Term, store: MetaStore
 ) -> Tuple[List[Meta], Tuple[Term, ...], Term]:
     """Strip leading quantifiers/premises off a statement.
 
-    Universal binders become fresh metavariables; implication premises
-    are collected.  Quantifiers *behind* premises are also stripped
-    (``forall x, P x -> forall y, Q``), matching how ``apply`` digs for
-    the final conclusion.
+    Universal binders become fresh metavariables, allocated in order;
+    implication premises are collected (see :func:`split_statement`).
+    Each part is instantiated with one simultaneous substitution: a
+    metavariable has no free variables, so this equals substituting
+    binder by binder.
 
     Returns ``(metas, premises, conclusion)``.
     """
-    metas: List[Meta] = []
-    premises: List[Term] = []
-    current = statement
-    while True:
-        if isinstance(current, Forall):
-            meta = store.fresh(current.var)
-            metas.append(meta)
-            current = subst_var(current.body, current.var, meta)
-        elif isinstance(current, Impl):
-            premises.append(current.lhs)
-            current = current.rhs
-        else:
-            break
-    return metas, tuple(premises), current
+    binders, premises, conclusion = split_statement(statement)
+    metas = [store.fresh(name) for name in binders]
+    return (
+        metas,
+        tuple(
+            subst_vars(premise, binder_scope(binders, metas, count))
+            for premise, count in premises
+        ),
+        subst_vars(conclusion, binder_scope(binders, metas, len(binders))),
+    )
 
 
 def elaborate_in_goal(
@@ -130,51 +163,72 @@ def apply_statement(
     store = state.store
     whnf = make_whnf(env)
     goal_concl = state.resolve(goal.concl)
+    goal_head = rigid_head(goal_concl, env)
 
     # Minimal-strip-first: try to unify the statement as-is, and only
     # peel one product (or unfold one definition layer) per failure.
     # This keeps e.g. ``apply in_nil`` working on a ``~ ...`` goal (the
     # negation's premise is part of the conclusion, not an argument).
+    # A product stage cannot unify with a goal whose rigid head is not
+    # that product kind, so it is stripped untried; binders stripped
+    # since the last tried stage are substituted at the next one, in one
+    # pass.  A non-product stage and the last iteration are always
+    # tried, so ``last_error`` is the same as if every stage were.
     metas: List[Meta] = []
-    premises: List[Term] = []
-    conclusion = statement
+    premises: List[Tuple[Term, Dict[str, Term]]] = []
+    pending: Dict[str, Term] = {}
+    current = store.resolve(statement)
     last_error: Exception = TacticError(f"{label}: does not apply")
-    for _ in range(64):
-        snap = store.snapshot()
-        try:
-            unify(store.resolve(conclusion), goal_concl, store, whnf)
-            break
-        except UnificationError as exc:
-            store.restore(snap)
-            last_error = exc
-        current = store.resolve(conclusion)
+    for stage in range(64):
+        kind = current.__class__
+        dead = (
+            (kind is Forall or kind is Impl)
+            and goal_head is not None
+            and goal_head is not kind
+            and stage < 63
+        )
+        if not dead:
+            if pending:
+                current = subst_vars(current, pending)
+                pending = {}
+            snap = store.snapshot()
+            try:
+                unify(current, goal_concl, store, whnf)
+                break
+            except UnificationError as exc:
+                store.restore(snap)
+                last_error = exc
         if isinstance(current, Forall):
             meta = store.fresh(current.var)
             metas.append(meta)
-            conclusion = subst_var(current.body, current.var, meta)
+            pending = {**pending, current.var: meta}
+            current = current.body
         elif isinstance(current, Impl):
-            premises.append(current.lhs)
-            conclusion = current.rhs
+            premises.append((current.lhs, pending))
+            current = current.rhs
         else:
             reduced = whnf(current)
             if reduced == current:
                 raise TacticError(f"{label}: {last_error}")
-            conclusion = reduced
+            current = reduced
     else:
         raise TacticError(f"{label}: {last_error}")
 
+    instantiated = [
+        store.resolve(subst_vars(premise, scope))
+        for premise, scope in premises
+    ]
     new_goals = []
-    for premise in premises:
-        resolved = store.resolve(premise)
-        if not allow_metas and metas_of(resolved):
+    for premise in instantiated:
+        if not allow_metas and metas_of(premise):
             raise TacticError(
                 f"{label}: cannot infer instantiation (use eapply)"
             )
-        new_goals.append(goal.with_concl(resolved))
+        new_goals.append(goal.with_concl(premise))
     if not allow_metas:
         for meta in metas:
             if not store.is_solved(meta.uid) and not any(
-                meta.uid in metas_of(store.resolve(p)) for p in premises
+                meta.uid in metas_of(p) for p in instantiated
             ):
                 raise TacticError(
                     f"{label}: cannot infer instantiation (use eapply)"

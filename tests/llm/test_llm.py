@@ -8,6 +8,7 @@ from repro.corpus.splits import make_splits
 from repro.errors import GenerationError
 from repro.kernel.goals import initial_state
 from repro.llm import PROFILES, WholeProofModel, available_models, get_model
+from repro.llm import promptview
 from repro.llm.promptview import parse_prompt
 from repro.llm.sampling import corrupt, stable_seed
 from repro.prompting import PromptBuilder
@@ -114,6 +115,39 @@ class TestPromptView:
     def test_hint_proofs_visible(self, prompt_for):
         view = parse_prompt(prompt_for("rev_involutive", hinted=True))
         assert view.hinted_lemmas()
+
+    def test_context_cache_compares_the_text(self):
+        class Colliding(str):
+            def __hash__(self):
+                return 7
+
+        first = Colliding("Lemma foo : 0 = 0.\n")
+        second = Colliding("Lemma bar : 1 = 1.\n")
+        assert hash(first) == hash(second)
+        assert set(promptview._parse_context(first)[0]) == {"foo"}
+        assert set(promptview._parse_context(second)[0]) == {"bar"}
+
+    def test_context_cache_is_bounded(self):
+        for i in range(100):
+            promptview._parse_context(f"Lemma l{i} : {i} = {i}.\n")
+        assert len(promptview._CONTEXT_CACHE) <= 65
+
+    def test_vanilla_view_gets_no_hint_proof(self, prompt_for, monkeypatch):
+        """Lemma views share their statement's parse, never the view."""
+        monkeypatch.setattr(promptview, "_CONTEXT_CACHE", {})
+        monkeypatch.setattr(promptview, "_STATEMENT_SHAPES", {})
+        hinted = parse_prompt(prompt_for("rev_involutive", hinted=True))
+        vanilla = parse_prompt(prompt_for("rev_involutive"))
+        shared = [
+            lemma for lemma in hinted.hinted_lemmas()
+            if lemma.name in vanilla.lemmas
+        ]
+        assert shared
+        for lemma in shared:
+            mirror = vanilla.lemmas[lemma.name]
+            assert mirror.statement == lemma.statement
+            assert mirror.conclusion == lemma.conclusion
+            assert mirror.proof is None
 
 
 class TestSampling:

@@ -1,8 +1,12 @@
 """Context extraction, prompt assembly, truncation."""
 
+import sys
+import threading
+
 import pytest
 
 import repro.corpus.tokenizer as tokenizer
+import repro.prompting.truncation as truncation
 from repro.corpus.splits import make_splits
 from repro.corpus.tokenizer import count_tokens
 from repro.kernel.goals import initial_state
@@ -15,6 +19,7 @@ from repro.prompting import (
     strip_proof,
     truncate_to_window,
 )
+from repro.prompting.truncation import counted_lines
 
 
 class TestContext:
@@ -176,3 +181,92 @@ class TestTruncation:
         text = "\n".join("word " * 10 for _ in range(100))
         out = truncate_to_window(text, 60)
         assert count_tokens(out) <= 75
+
+
+class TestLineMemo:
+    """``counted_lines`` reads line counts from one process-wide memo:
+    exact, bounded, and shared by every builder."""
+
+    def test_exact_for_every_sweep_context(self, project, monkeypatch):
+        bound = 1_000
+        monkeypatch.setattr(truncation, "_LINE_TOKENS", {})
+        monkeypatch.setattr(truncation, "_LINE_TOKENS_MAX", bound)
+        splits = make_splits(project)
+        for theorem in splits.test_large:
+            for hints in (None, splits.hint_names):
+                context = context_for(project, theorem, hints)
+                # With and without a newline after the last line.
+                for text in (context + "\n\n", context):
+                    want = [
+                        count_tokens(line)
+                        for line in text.splitlines(keepends=True)
+                    ]
+                    for _ in range(2):  # cold, then from the memo
+                        lines, counts = counted_lines(text)
+                        assert "".join(lines) == text
+                        assert counts == want, theorem.name
+                        assert len(truncation._LINE_TOKENS) <= bound
+
+    def test_threads_share_the_memo(self, project, monkeypatch):
+        """More threads than cores, a tiny bound and frequent switches:
+        every thread still reads exact counts."""
+        monkeypatch.setattr(truncation, "_LINE_TOKENS", {})
+        monkeypatch.setattr(truncation, "_LINE_TOKENS_MAX", 64)
+        texts = [
+            context_for(project, theorem)
+            for theorem in make_splits(project).test_large[:8]
+        ]
+        want = [
+            [count_tokens(line) for line in text.splitlines(keepends=True)]
+            for text in texts
+        ]
+        wrong = []
+
+        def work(offset):
+            for i in range(len(texts)):
+                k = (i + offset) % len(texts)
+                if counted_lines(texts[k])[1] != want[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+
+    def test_second_builder_counts_only_new_lines(self, project, monkeypatch):
+        monkeypatch.setattr(truncation, "_LINE_TOKENS", {})
+        first = project.theorem("app_length")
+        second = project.theorem("map_app")
+        assert first.file == second.file
+        states = [
+            initial_state(project.env_for(t), t.statement)
+            for t in (first, second)
+        ]
+        counted = []
+        original = tokenizer.tokenize
+
+        def recording(text):
+            counted.append(text)
+            return original(text)
+
+        monkeypatch.setattr(tokenizer, "tokenize", recording)
+        PromptBuilder(project, first, window_tokens=2_000).build(
+            states[0], []
+        )
+        seen = set(counted)
+        counted.clear()
+        PromptBuilder(project, second, window_tokens=2_000).build(
+            states[1], []
+        )
+        assert counted  # the lines only the second prompt has
+        assert seen.isdisjoint(counted)
