@@ -17,7 +17,7 @@ import threading
 from time import perf_counter
 
 from repro.llm import get_model
-from repro.service.batching import BatchingGenerator, BatchPolicy
+from repro.service.batching import BatchingGenerator
 from repro.testing.latency import LatencyGenerator
 
 OVERHEAD = 0.02  # seconds per dispatch against the rate-limited endpoint
@@ -54,13 +54,12 @@ def test_batched_dispatch_beats_solo_under_rate_limit():
     model = get_model("gpt-4o-mini")
 
     solo = BatchingGenerator(
-        LatencyGenerator(model, OVERHEAD), BatchPolicy(max_batch_size=1)
+        LatencyGenerator(model, OVERHEAD), max_batch_size=1
     )
     solo_elapsed = _drive(solo)
 
     batched = BatchingGenerator(
-        LatencyGenerator(model, OVERHEAD),
-        BatchPolicy(batch_window=OVERHEAD / 2, max_batch_size=CALLERS),
+        LatencyGenerator(model, OVERHEAD), max_batch_size=CALLERS
     )
     try:
         batched_elapsed = _drive(batched)
@@ -80,10 +79,8 @@ def test_batched_dispatch_beats_solo_under_rate_limit():
 
 
 def test_batching_overhead_is_negligible_without_contention(benchmark):
-    """A lone caller through the batcher: the window flush path."""
-    batcher = BatchingGenerator(
-        get_model("gpt-4o"), BatchPolicy(batch_window=0.0, max_batch_size=8)
-    )
+    """A lone caller through the batcher: it sends on its own thread."""
+    batcher = BatchingGenerator(get_model("gpt-4o"), max_batch_size=8)
     try:
         benchmark(lambda: batcher.generate("Goal n = n", 4))
     finally:
@@ -91,8 +88,6 @@ def test_batching_overhead_is_negligible_without_contention(benchmark):
 
 
 def test_disabled_batching_is_a_passthrough(benchmark):
-    """max_batch_size=1: no queue, no thread, raw model latency."""
-    batcher = BatchingGenerator(
-        get_model("gpt-4o"), BatchPolicy(max_batch_size=1)
-    )
+    """max_batch_size=1: no queue, raw model latency."""
+    batcher = BatchingGenerator(get_model("gpt-4o"), max_batch_size=1)
     benchmark(lambda: batcher.generate("Goal n = n", 4))

@@ -53,7 +53,6 @@ def parse_args() -> argparse.Namespace:
         "--fuel", type=int, default=10, help="base fuel per search"
     )
     parser.add_argument("--workers", type=int, default=12)
-    parser.add_argument("--batch-window", type=float, default=0.04)
     parser.add_argument("--max-batch-size", type=int, default=8)
     parser.add_argument(
         "--query-overhead",
@@ -127,7 +126,6 @@ def run_phase(project, args, batched: bool) -> dict:
         port=0,
         workers=args.workers,
         max_queued=max(32, args.clients * args.requests),
-        batch_window=args.batch_window,
         max_batch_size=args.max_batch_size if batched else 1,
         query_overhead=args.query_overhead,
         fast=True,
@@ -234,7 +232,6 @@ def run_cluster_phase(project, args) -> dict:
             worker=ServerConfig(
                 workers=args.workers,
                 max_queued=max(32, args.clients * args.requests),
-                batch_window=args.batch_window,
                 max_batch_size=args.max_batch_size,
                 query_overhead=args.query_overhead,
             ),
@@ -318,7 +315,6 @@ def main() -> int:
             "model": args.model,
             "fuel": args.fuel,
             "workers": args.workers,
-            "batch_window": args.batch_window,
             "max_batch_size": args.max_batch_size,
             "query_overhead": args.query_overhead,
         },

@@ -276,7 +276,6 @@ def _cmd_server(args) -> int:
         port=args.port,
         workers=args.workers,
         max_queued=args.max_queued,
-        batch_window=args.batch_window,
         max_batch_size=args.max_batch_size,
         cache_path=args.cache,
         default_deadline=args.deadline,
@@ -353,17 +352,17 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _pipeline_depth(text: str) -> int:
-    depth = int(text)
-    if depth < 1:
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
-    return depth
+    return value
 
 
 def _add_pipeline_depth(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--pipeline-depth",
-        type=_pipeline_depth,
+        type=_positive_int,
         default=1,
         metavar="K",
         help="selected nodes kept in flight per search, whose model "
@@ -555,15 +554,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="admission bound beyond in-flight jobs (429 on overflow)",
     )
     p_server.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.01,
-        metavar="SECONDS",
-        help="micro-batch collection window for model dispatch",
-    )
-    p_server.add_argument(
         "--max-batch-size",
-        type=int,
+        type=_positive_int,
         default=8,
         help="model queries per dispatched batch (1 disables batching)",
     )

@@ -18,7 +18,7 @@ the supervised multi-process cluster.  DESIGN.md §6 and §8.
 * :mod:`repro.service.cluster` — consistent-hash router + degradation.
 """
 
-from repro.service.batching import BatchingGenerator, BatchPlanner, BatchPolicy
+from repro.service.batching import BatchingGenerator
 from repro.service.client import (
     JobTimeout,
     ProverClient,
@@ -46,8 +46,6 @@ from repro.service.server import (
 from repro.service.supervisor import Supervisor, WorkerSpec, WorkerState
 
 __all__ = [
-    "BatchPolicy",
-    "BatchPlanner",
     "BatchingGenerator",
     "ProofCache",
     "Job",

@@ -60,7 +60,7 @@ from repro.eval.tasks import CACHE_KEY_VERSION, task_from_json
 from repro.llm import get_model
 from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import JsonlSink, Tracer
-from repro.service.batching import BatchingGenerator, BatchPolicy
+from repro.service.batching import BatchingGenerator
 from repro.service.proofcache import ProofCache
 from repro.service.scheduler import (
     QueueFullError,
@@ -77,6 +77,15 @@ __all__ = [
     "install_sigterm_drain",
     "serve_forever",
 ]
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    daemon_threads = True
+    # Clients connect in bursts: every client of a closed loop at once,
+    # and the router's forwards and long-polls.  Past the stdlib's
+    # listen backlog of 5, Linux drops the SYN, and that client waits
+    # out TCP's 1 s retransmit timer before it is even accepted.
+    request_queue_size = 128
 
 
 def build_http_server(api, host: str, port: int) -> ThreadingHTTPServer:
@@ -179,9 +188,7 @@ def build_http_server(api, host: str, port: int) -> ThreadingHTTPServer:
                 return
             self._send(*api.submit(body))
 
-    server = ThreadingHTTPServer((host, port), Handler)
-    server.daemon_threads = True
-    return server
+    return _HTTPServer((host, port), Handler)
 
 
 def install_sigterm_drain():
@@ -236,7 +243,6 @@ class ServerConfig:
     port: int = 8421
     workers: int = 4  # concurrent searches
     max_queued: int = 32  # admission bound beyond in-flight
-    batch_window: float = 0.01  # seconds a micro-batch may collect
     max_batch_size: int = 8  # 1 disables batching
     cache_path: Optional[str] = None  # JSONL proof cache (warm restart)
     default_deadline: Optional[float] = None  # per-job wall clock
@@ -252,6 +258,10 @@ class ServerConfig:
     # nodes kept in flight within one search.  1 = serial loop; k >= 2
     # sends up to k of the job's queries to the model in one batch.
     pipeline_depth: int = 1
+
+    def __post_init__(self) -> None:
+        if self.max_batch_size < 1:
+            raise ValueError("max_batch_size must be >= 1")
 
 
 class Frontend:
@@ -436,10 +446,7 @@ class ProverService(Frontend):
                     )
                 batcher = BatchingGenerator(
                     base,
-                    BatchPolicy(
-                        batch_window=self.config.batch_window,
-                        max_batch_size=self.config.max_batch_size,
-                    ),
+                    max_batch_size=self.config.max_batch_size,
                     metrics=self.metrics,
                 )
                 self._batchers[model_name] = batcher
@@ -504,11 +511,16 @@ class ProverService(Frontend):
         from repro.llm import available_models
 
         config = self.config
+        batching = (
+            f"batching: one dispatch in flight per model, carrying up to "
+            f"{config.max_batch_size} of the queries queued behind the last"
+            if config.max_batch_size > 1
+            else "batching: off, every model query is its own dispatch"
+        )
         lines = [
             f"prover service (workers={config.workers}, "
-            f"batch_window={config.batch_window}s, "
-            f"max_batch={config.max_batch_size}, "
             f"cache={config.cache_path or 'memory'})",
+            batching,
             f"models: {', '.join(available_models())}",
         ]
         if config.trace_path:
@@ -516,7 +528,7 @@ class ProverService(Frontend):
         return "\n".join(lines)
 
     def close(self, timeout: Optional[float] = 30.0) -> bool:
-        """Graceful drain: finish admitted jobs, stop dispatchers."""
+        """Graceful drain: finish admitted jobs, close the batchers."""
         drained = self.scheduler.shutdown(timeout=timeout)
         with self._batcher_lock:
             for batcher in self._batchers.values():

@@ -1,16 +1,27 @@
-"""Micro-batching: the pure planner under a fake clock, the threaded
-generator under controlled concurrency, and the determinism contract.
+"""Micro-batching: the caller-run dispatch under controlled concurrency,
+and the determinism contract.
+
+No test here depends on timing: a dispatch is held in flight on an
+``Event`` while calls queue behind it, and the queue depth, not a
+sleep, says when they have all arrived.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
+import repro.service
+from repro.cli import main as cli_main
 from repro.llm import get_model
-from repro.llm.interface import Candidate
-from repro.service.batching import BatchingGenerator, BatchPlanner, BatchPolicy, _Pending
+from repro.service import ServerConfig
+from repro.service.batching import BatchingGenerator
+
+TIMEOUT = 30.0  # seconds any join or wait may take before the test fails
+HELD = ("Goal held : n = n", 1)  # the request whose dispatch is held
 
 
 class CountingMetrics:
@@ -21,174 +32,211 @@ class CountingMetrics:
         self.counters[name] = self.counters.get(name, 0) + n
 
 
-# ----------------------------------------------------------------------
-# BatchPlanner: all timing injected, no threads, no sleeps.
-# ----------------------------------------------------------------------
-
-
-class TestBatchPlanner:
-    def planner(self, window=1.0, size=4):
-        return BatchPlanner(BatchPolicy(batch_window=window, max_batch_size=size))
-
-    def test_empty_queue_is_idle(self):
-        planner = self.planner()
-        assert not planner.ready(now=0.0)
-        assert planner.wait_budget(now=0.0) is None
-        assert planner.take() == []
-
-    def test_window_opens_at_oldest_arrival(self):
-        planner = self.planner(window=1.0)
-        planner.add(_Pending("a", 1, arrived=10.0))
-        assert not planner.ready(now=10.5)
-        assert planner.wait_budget(now=10.5) == pytest.approx(0.5)
-        assert planner.ready(now=11.0)
-        assert planner.wait_budget(now=11.2) == 0.0
-
-    def test_late_arrivals_do_not_extend_the_window(self):
-        planner = self.planner(window=1.0)
-        planner.add(_Pending("a", 1, arrived=10.0))
-        planner.add(_Pending("b", 1, arrived=10.9))
-        # Due at oldest + window, not newest + window.
-        assert planner.ready(now=11.0)
-
-    def test_full_batch_dispatches_immediately(self):
-        planner = self.planner(window=60.0, size=2)
-        planner.add(_Pending("a", 1, arrived=0.0))
-        assert not planner.ready(now=0.0)
-        planner.add(_Pending("b", 1, arrived=0.0))
-        assert planner.ready(now=0.0)
-        assert planner.wait_budget(now=0.0) == 0.0
-
-    def test_take_leaves_the_overflow_queued(self):
-        planner = self.planner(window=0.0, size=2)
-        for name in "abc":
-            planner.add(_Pending(name, 1, arrived=0.0))
-        batch = planner.take()
-        assert [p.prompt for p in batch] == ["a", "b"]
-        assert [p.prompt for p in planner.queue] == ["c"]
-
-    def test_zero_window_means_dispatch_whatever_is_queued(self):
-        planner = self.planner(window=0.0)
-        planner.add(_Pending("a", 1, arrived=5.0))
-        assert planner.ready(now=5.0)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            BatchPolicy(batch_window=-0.1)
-        with pytest.raises(ValueError):
-            BatchPolicy(max_batch_size=0)
-
-
-# ----------------------------------------------------------------------
-# BatchingGenerator: threads, but deterministic coalescing — a full
-# batch (max_batch_size == caller count, huge window) dispatches all
-# callers in one generate_batch call, no timing dependence.
-# ----------------------------------------------------------------------
-
-
 class RecordingInner:
-    """Delegates to a real model, recording batch sizes."""
+    """Delegates to a real model, recording each batch call.
+
+    A batch carrying :data:`HELD` blocks until ``release`` is set.
+    """
 
     def __init__(self, model):
         self.model = model
         self.name = model.name
         self.context_window = model.context_window
         self.provides_log_probs = model.provides_log_probs
-        self.batch_sizes = []
+        self.batches = []
+        self.batch_threads = []
+        self.thread_counts = []
         self.solo_calls = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.release.set()
 
     def generate(self, prompt, k):
         self.solo_calls += 1
         return self.model.generate(prompt, k)
 
     def generate_batch(self, requests):
-        self.batch_sizes.append(len(requests))
+        self.batches.append(list(requests))
+        self.batch_threads.append(threading.get_ident())
+        self.thread_counts.append(threading.active_count())
+        if HELD in requests:
+            self.entered.set()
+            assert self.release.wait(TIMEOUT)
         return self.model.generate_batch(requests)
+
+
+class Callers:
+    """One thread per ``generate`` call; results kept in call order."""
+
+    def __init__(self, batcher):
+        self.batcher = batcher
+        self.threads = []
+        self.results = []
+        self.errors = []
+
+    def start(self, requests):
+        for prompt, k in requests:
+            self.results.append(None)
+            thread = threading.Thread(
+                target=self._call, args=(len(self.results) - 1, prompt, k)
+            )
+            self.threads.append(thread)
+            thread.start()
+
+    def _call(self, index, prompt, k):
+        try:
+            self.results[index] = self.batcher.generate(prompt, k)
+        except BaseException as exc:  # noqa: BLE001 - the test inspects it
+            self.errors.append((index, exc))
+
+    def join(self):
+        for thread in self.threads:
+            thread.join(TIMEOUT)
+            assert not thread.is_alive()
 
 
 def fan_out(batcher, requests):
     """Call ``generate`` concurrently; return results in request order."""
-    results = [None] * len(requests)
-    errors = []
+    callers = Callers(batcher)
+    callers.start(requests)
+    callers.join()
+    return callers.results, callers.errors
 
-    def call(index, prompt, k):
-        try:
-            results[index] = batcher.generate(prompt, k)
-        except BaseException as exc:  # noqa: BLE001
-            errors.append((index, exc))
 
-    threads = [
-        threading.Thread(target=call, args=(i, p, k))
-        for i, (p, k) in enumerate(requests)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return results, errors
+def wait_until(predicate):
+    deadline = time.monotonic() + TIMEOUT
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def held_dispatch(batcher, inner):
+    """Callers whose first call, :data:`HELD`, is a dispatch held in
+    flight until ``inner.release`` is set."""
+    inner.release.clear()
+    callers = Callers(batcher)
+    callers.start([HELD])
+    assert inner.entered.wait(TIMEOUT)
+    return callers
+
+
+def queue_behind(callers, requests):
+    """Start ``requests`` and wait until all of them are queued."""
+    callers.start(requests)
+    wait_until(
+        lambda: callers.batcher.stats()["queue_depth"] == len(requests)
+    )
 
 
 class TestBatchingGenerator:
     def test_full_batch_coalesces_and_matches_solo(self):
+        """Calls queued behind the dispatch in flight leave together,
+        at most ``max_batch_size`` per dispatch."""
         model = get_model("gpt-4o-mini")
         inner = RecordingInner(model)
-        requests = [(f"Goal {i} : n + 0 = n", 2 + i % 3) for i in range(4)]
-        batcher = BatchingGenerator(
-            inner, BatchPolicy(batch_window=30.0, max_batch_size=len(requests))
-        )
-        try:
-            results, errors = fan_out(batcher, requests)
-        finally:
-            batcher.close()
-        assert errors == []
-        # One dispatch carried all four callers (size trigger, not the
-        # 30s window) ...
-        assert inner.batch_sizes == [4]
+        requests = [(f"Goal {i} : n + 0 = n", 2 + i % 3) for i in range(6)]
+        batcher = BatchingGenerator(inner, max_batch_size=4)
+        callers = held_dispatch(batcher, inner)
+        queue_behind(callers, requests)
+        inner.release.set()
+        callers.join()
+        assert callers.errors == []
+        assert [len(batch) for batch in inner.batches] == [1, 4, 2]
         assert inner.solo_calls == 0
-        # ... and every element is byte-identical to a solo call (the
+        # Every element is byte-identical to a solo call (the
         # determinism contract the service depends on).
-        assert results == [model.generate(p, k) for p, k in requests]
+        assert callers.results == [
+            model.generate(p, k) for p, k in [HELD] + requests
+        ]
 
-    def test_window_flushes_a_lone_request(self):
+    def test_lone_call_is_sent_on_the_callers_thread(self):
         inner = RecordingInner(get_model("gpt-4o"))
-        batcher = BatchingGenerator(
-            inner, BatchPolicy(batch_window=0.005, max_batch_size=8)
-        )
-        try:
-            out = batcher.generate("Goal n = n", 3)
-        finally:
-            batcher.close()
+        batcher = BatchingGenerator(inner, max_batch_size=8)
+        threads_before = threading.active_count()
+        out = batcher.generate("Goal n = n", 3)
         assert out == inner.model.generate("Goal n = n", 3)
-        assert inner.batch_sizes == [1]
+        assert inner.batches == [[("Goal n = n", 3)]]
+        assert inner.batch_threads == [threading.get_ident()]
+        assert inner.thread_counts == [threads_before]
+
+    def test_queue_heads_lead_in_arrival_order(self):
+        inner = RecordingInner(get_model("gpt-4o-mini"))
+        batcher = BatchingGenerator(inner, max_batch_size=2)
+        callers = held_dispatch(batcher, inner)
+        requests = [(f"Goal {name} = {name}", 2) for name in "abcde"]
+        for depth, request in enumerate(requests, start=1):
+            callers.start([request])
+            wait_until(lambda: batcher.stats()["queue_depth"] == depth)
+        inner.release.set()
+        callers.join()
+        assert callers.errors == []
+        assert inner.batches == [
+            [HELD], requests[0:2], requests[2:4], requests[4:]
+        ]
+
+    def test_dispatch_counters_keep_their_names(self):
+        """perfbench's probe and ``/metrics`` read these counters."""
+        inner = RecordingInner(get_model("gpt-4o-mini"))
+        metrics = CountingMetrics()
+        batcher = BatchingGenerator(inner, max_batch_size=4, metrics=metrics)
+        callers = held_dispatch(batcher, inner)
+        queue_behind(callers, [(f"Goal {i} = {i}", 2) for i in range(6)])
+        inner.release.set()
+        callers.join()
+        assert metrics.counters == {
+            "service.batch.dispatches": 3,
+            "service.batch.queries": 7,
+        }
+        stats = batcher.stats()
+        assert (stats["batches"], stats["queries"]) == (3, 7)
+        assert stats["max_batch_size"] == 4
+        assert stats["mean_batch_size"] == pytest.approx(7 / 3)
+
+    def test_preformed_batch_skips_the_queue(self):
+        inner = RecordingInner(get_model("gpt-4o-mini"))
+        batcher = BatchingGenerator(inner, max_batch_size=4)
+        callers = held_dispatch(batcher, inner)
+        requests = [("Goal a = a", 2), ("Goal b = b", 3)]
+        # Answered while the held dispatch is still in flight.
+        assert batcher.generate_batch(requests) == [
+            inner.model.generate(p, k) for p, k in requests
+        ]
+        inner.release.set()
+        callers.join()
+        assert batcher.stats()["batches"] == 1
 
     def test_batching_disabled_is_a_straight_passthrough(self):
         inner = RecordingInner(get_model("gpt-4o"))
-        batcher = BatchingGenerator(inner, BatchPolicy(max_batch_size=1))
+        batcher = BatchingGenerator(inner, max_batch_size=1)
         out = batcher.generate("Goal n = n", 2)
         assert out == inner.model.generate("Goal n = n", 2)
-        assert inner.batch_sizes == []  # no queue, no dispatcher thread
+        assert inner.batches == []  # no queue, no batch call
         assert inner.solo_calls >= 1
-        assert batcher._dispatcher is None
+        assert batcher.stats()["batches"] == 0
+
+    def test_max_batch_size_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            BatchingGenerator(get_model("gpt-4o"), max_batch_size=0)
 
     def test_failed_batch_falls_back_to_solo_calls(self):
         class BrokenBatch(RecordingInner):
             def generate_batch(self, requests):
-                raise RuntimeError("batch endpoint down")
+                if HELD not in requests:
+                    raise RuntimeError("batch endpoint down")
+                return super().generate_batch(requests)
 
         inner = BrokenBatch(get_model("gpt-4o-mini"))
         metrics = CountingMetrics()
         requests = [("Goal a = a", 2), ("Goal b = b", 2)]
-        batcher = BatchingGenerator(
-            inner,
-            BatchPolicy(batch_window=30.0, max_batch_size=2),
-            metrics=metrics,
-        )
-        try:
-            results, errors = fan_out(batcher, requests)
-        finally:
-            batcher.close()
-        assert errors == []
-        assert results == [inner.model.generate(p, k) for p, k in requests]
+        batcher = BatchingGenerator(inner, max_batch_size=2, metrics=metrics)
+        callers = held_dispatch(batcher, inner)
+        queue_behind(callers, requests)
+        inner.release.set()
+        callers.join()
+        assert callers.errors == []
+        assert callers.results == [
+            inner.model.generate(p, k) for p, k in [HELD] + requests
+        ]
         assert metrics.counters.get("service.batch.fallbacks") == 1
 
     def test_solo_fallback_isolates_a_poisoned_element(self):
@@ -206,51 +254,55 @@ class TestBatchingGenerator:
                 return super().generate_batch(requests)
 
         inner = Poisoned(get_model("gpt-4o-mini"))
-        batcher = BatchingGenerator(
-            inner, BatchPolicy(batch_window=30.0, max_batch_size=2)
-        )
-        try:
-            results, errors = fan_out(
-                batcher, [("Goal ok : n = n", 2), ("poison", 2)]
-            )
-        finally:
-            batcher.close()
-        assert results[0] == inner.model.generate("Goal ok : n = n", 2)
-        assert len(errors) == 1 and isinstance(errors[0][1], ValueError)
+        batcher = BatchingGenerator(inner, max_batch_size=2)
+        callers = held_dispatch(batcher, inner)
+        queue_behind(callers, [("Goal ok : n = n", 2), ("poison", 2)])
+        inner.release.set()
+        callers.join()
+        assert callers.results[1] == inner.model.generate("Goal ok : n = n", 2)
+        assert [index for index, _ in callers.errors] == [2]
+        assert isinstance(callers.errors[0][1], ValueError)
+
+    def test_interrupted_dispatch_still_answers_its_co_travellers(self):
+        class Interrupt(BaseException):
+            pass
+
+        class Interrupting(RecordingInner):
+            def generate_batch(self, requests):
+                if HELD not in requests:
+                    raise Interrupt()
+                return super().generate_batch(requests)
+
+        inner = Interrupting(get_model("gpt-4o-mini"))
+        batcher = BatchingGenerator(inner, max_batch_size=4)
+        callers = held_dispatch(batcher, inner)
+        queue_behind(callers, [("Goal a = a", 2), ("Goal b = b", 2)])
+        inner.release.set()
+        callers.join()
+        # The leader re-raises the interrupt; its co-traveller gets an
+        # error instead of a result ...
+        kinds = sorted(type(exc).__name__ for _, exc in callers.errors)
+        assert kinds == ["Interrupt", "RuntimeError"]
+        # ... and no dispatch is left in flight to strand later calls.
+        assert batcher.generate(*HELD) == inner.model.generate(*HELD)
 
     def test_close_flushes_pending_then_rejects_new_work(self):
         inner = RecordingInner(get_model("gpt-4o"))
-        batcher = BatchingGenerator(
-            inner, BatchPolicy(batch_window=60.0, max_batch_size=8)
-        )
-        box = {}
-        thread = threading.Thread(
-            target=lambda: box.setdefault(
-                "out", batcher.generate("Goal n = n", 2)
-            )
-        )
-        thread.start()
-        # Wait until the request is queued (not yet dispatched: the
-        # 60s window would otherwise park it).
-        for _ in range(1000):
-            if len(batcher._planner) or box.get("out"):
-                break
-            thread.join(0.005)
-        batcher.close()  # must flush, not strand, the queued caller
-        thread.join(5.0)
-        assert box["out"] == inner.model.generate("Goal n = n", 2)
+        batcher = BatchingGenerator(inner, max_batch_size=8)
+        callers = held_dispatch(batcher, inner)
+        queue_behind(callers, [("Goal n = n", 2)])
+        batcher.close()  # must not strand the queued caller
+        inner.release.set()
+        callers.join()
+        assert callers.errors == []
+        assert callers.results[1] == inner.model.generate("Goal n = n", 2)
         with pytest.raises(RuntimeError):
             batcher.generate("Goal n = n", 2)
 
     def test_stats_shape(self):
         inner = RecordingInner(get_model("gpt-4o-mini"))
-        batcher = BatchingGenerator(
-            inner, BatchPolicy(batch_window=0.005, max_batch_size=4)
-        )
-        try:
-            batcher.generate("Goal n = n", 2)
-        finally:
-            batcher.close()
+        batcher = BatchingGenerator(inner, max_batch_size=4)
+        batcher.generate("Goal n = n", 2)
         stats = batcher.stats()
         assert stats["model"] == inner.name
         assert stats["batches"] == 1
@@ -259,26 +311,40 @@ class TestBatchingGenerator:
         assert stats["queue_depth"] == 0
 
 
+class TestServerConfig:
+    def test_max_batch_size_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            ServerConfig(max_batch_size=0)
+
+    def test_cli_refuses_max_batch_size_below_one(self, monkeypatch):
+        def serve_forever(api):
+            raise AssertionError("the server started")
+
+        monkeypatch.setattr(repro.service, "serve_forever", serve_forever)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["server", "--port", "0", "--max-batch-size", "0"])
+        assert exit_info.value.code != 0
+
+
 class TestDeterminismContract:
     def test_concurrent_batched_equals_solo_under_timing_noise(self):
-        """Many concurrent searches, tiny real window: whatever batch
-        composition the timing produced, every result must equal the
-        solo reference."""
+        """64 callers, more than the cores, with the interpreter
+        switching threads every microsecond: whatever batch composition
+        the timing produced, every result must equal the solo
+        reference."""
         model = get_model("gemini-1.5-flash")
         requests = [
             (f"Lemma l{i} : forall n : nat, n + {i} = {i} + n.", 1 + i % 5)
-            for i in range(24)
+            for i in range(64)
         ]
         reference = [model.generate(p, k) for p, k in requests]
-        batcher = BatchingGenerator(
-            model, BatchPolicy(batch_window=0.002, max_batch_size=6)
-        )
+        batcher = BatchingGenerator(model, max_batch_size=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
             results, errors = fan_out(batcher, requests)
         finally:
-            batcher.close()
+            sys.setswitchinterval(interval)
         assert errors == []
         assert results == reference
-        stats = batcher.stats()
-        assert stats["queries"] == len(requests)
-
+        assert batcher.stats()["queries"] == len(requests)

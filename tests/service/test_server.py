@@ -8,6 +8,7 @@ must be byte-identical.
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
@@ -30,7 +31,6 @@ FUEL = 12  # small budgets keep the e2e searches quick
 def boot(project, **overrides):
     overrides.setdefault("port", 0)
     overrides.setdefault("workers", 4)
-    overrides.setdefault("batch_window", 0.005)
     overrides.setdefault("max_batch_size", 4)
     service = ProverService(ServerConfig(**overrides), project=project)
     httpd = service.make_http_server()
@@ -175,6 +175,27 @@ class TestWaitValidation:
             assert status == 200
             assert body["id"] == payload["job"]
         finally:
+            service.close(timeout=30.0)
+
+
+class TestListenBacklog:
+    def test_a_burst_of_connects_is_queued_not_dropped(self, project):
+        """More clients than the stdlib's listen backlog of 5 connect
+        at once.  A dropped SYN would leave a connect waiting on TCP's
+        retransmit timer, and none completes while nothing accepts."""
+        service = ProverService(ServerConfig(port=0), project=project)
+        httpd = service.make_http_server()  # bound, not yet accepting
+        host, port = httpd.server_address[:2]
+        connections = []
+        try:
+            for _ in range(32):
+                connections.append(
+                    socket.create_connection((host, port), timeout=5.0)
+                )
+        finally:
+            for connection in connections:
+                connection.close()
+            httpd.server_close()
             service.close(timeout=30.0)
 
 
