@@ -64,9 +64,8 @@ def run_sweep(project, config, store_path, executor):
     runner = Runner(project, config)
     theorems = runner.theorems_for(MODEL)
     tasks = sweep_tasks(theorems, MODEL, False, config)
-    records = runner.run_tasks(
-        tasks, executor=executor, store=RunStore(store_path)
-    )
+    with RunStore(store_path) as store:
+        records = runner.run_tasks(tasks, executor=executor, store=store)
     return runner, tasks, records
 
 

@@ -119,18 +119,18 @@ def wait_all(cluster: ProverCluster, ids: list, budget: float = 180.0):
 
 def write_store(cluster, bodies, ids, path: Path) -> None:
     """The final records, in submission order (order-deterministic)."""
-    store = RunStore(path)
-    for body, job_id in zip(bodies, ids):
-        _, status = cluster.job_status(job_id)
-        if status.get("state") != "done":
-            raise AssertionError(
-                f"{body['theorem']}: {status.get('state')} "
-                f"({status.get('error')})"
+    with RunStore(path) as store:
+        for body, job_id in zip(bodies, ids):
+            _, status = cluster.job_status(job_id)
+            if status.get("state") != "done":
+                raise AssertionError(
+                    f"{body['theorem']}: {status.get('state')} "
+                    f"({status.get('error')})"
+                )
+            store.put(
+                task_from_json(dict(body)),
+                OutcomeRecord.from_json(status["record"]),
             )
-        store.put(
-            task_from_json(dict(body)),
-            OutcomeRecord.from_json(status["record"]),
-        )
 
 
 def restart_count(cluster: ProverCluster) -> int:

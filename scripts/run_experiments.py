@@ -198,6 +198,7 @@ def main() -> None:
     )
     print(render_metrics(runner.metrics.snapshot()), file=sys.stderr)
     if store is not None:
+        store.close()
         runner.metrics.dump(store.metrics_path())
         print(
             f"run store: {store.path} ({len(store)} records); "

@@ -142,7 +142,8 @@ def run_phase(project, args, batched: bool) -> dict:
         base_url, requests, args
     )
 
-    metrics = ProverClient(base_url).metrics()
+    with ProverClient(base_url) as client:
+        metrics = client.metrics()
     httpd.shutdown()
     httpd.server_close()
     service.close()
@@ -188,18 +189,18 @@ def drive_clients(base_url: str, requests: list, args) -> tuple:
     errors: list = []
 
     def client_loop(client_index: int) -> None:
-        client = ProverClient(base_url, timeout=120.0)
-        for local_index, body in enumerate(per_client[client_index]):
-            flat_index = client_index + local_index * args.clients
-            started = time.monotonic()
-            try:
-                status = client.prove_and_wait(
-                    timeout=600.0, poll=2.0, **body
-                )
-                latencies[flat_index] = time.monotonic() - started
-                records[flat_index] = status.get("record")
-            except Exception as exc:  # noqa: BLE001 - report, don't hang
-                errors.append(f"{body}: {type(exc).__name__}: {exc}")
+        with ProverClient(base_url, timeout=120.0) as client:
+            for local_index, body in enumerate(per_client[client_index]):
+                flat_index = client_index + local_index * args.clients
+                started = time.monotonic()
+                try:
+                    status = client.prove_and_wait(
+                        timeout=600.0, poll=2.0, **body
+                    )
+                    latencies[flat_index] = time.monotonic() - started
+                    records[flat_index] = status.get("record")
+                except Exception as exc:  # noqa: BLE001 - report, don't hang
+                    errors.append(f"{body}: {type(exc).__name__}: {exc}")
 
     started = time.monotonic()
     threads = [

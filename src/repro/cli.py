@@ -251,6 +251,7 @@ def _cmd_eval(args) -> int:
             f"{store.quarantine_path()}"
         )
     if store is not None:
+        store.close()
         runner.metrics.dump(store.metrics_path())
         print(f"run store: {store.path} ({len(store)} records); "
               f"metrics: {store.metrics_path()}")

@@ -19,6 +19,16 @@ the store file is atomically rewritten without them, so the damaged
 cells simply re-execute on resume instead of resurfacing as corrupt
 results.  Lines written by older versions carry no ``sum`` and load
 unverified (see ``tests/eval/test_store.py``).
+
+Appends: the first :meth:`RunStore.put` opens the file for appending,
+and the handle stays open for the later ones.  Each line is flushed to
+the operating system before ``put`` returns, but not ``fsync``-ed: a
+line survives a crash of the process, not a power loss.
+:meth:`RunStore.close` (or leaving a ``with`` block) closes the handle;
+it is idempotent, and a later ``put`` reopens the file.  A file has one
+writer.  Quarantine happens only at load, before the handle opens; its
+rewrite replaces the file, so lines appended through a handle another
+store opened before it are lost.
 """
 
 from __future__ import annotations
@@ -29,11 +39,12 @@ import os
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import BinaryIO, Dict, Iterator, List, Optional
 
 __all__ = [
     "OutcomeRecord",
     "RunStore",
+    "LineAppender",
     "checksum_payload",
     "quarantine_lines",
 ]
@@ -92,6 +103,33 @@ def checksum_payload(payload: dict) -> str:
 _checksum = checksum_payload  # internal alias
 
 
+class LineAppender:
+    """Appends lines to ``path`` through a handle that stays open.
+
+    The first :meth:`append` creates the directory and opens the file.
+    Each line is flushed to the operating system before ``append``
+    returns, but not ``fsync``-ed.  :meth:`close` is idempotent, and a
+    later append reopens the file.  Not locked: the owner serialises
+    calls (the run store and the job journal hold their write lock).
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self._handle: Optional[BinaryIO] = None
+
+    def append(self, line: str) -> None:
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = self.path.open("ab")
+        self._handle.write(line.encode("utf-8") + b"\n")
+        self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
 def quarantine_lines(
     path: Path, good_lines: List[str], bad_lines: List[str]
 ) -> Path:
@@ -124,6 +162,7 @@ class RunStore:
         # Serialises appends: the prover service's scheduler workers
         # put() concurrently, and an interleaved write would tear lines.
         self._write_lock = threading.Lock()
+        self._appender = LineAppender(self.path)
         #: Lines rejected on the last load (torn writes, checksum
         #: mismatches, schema garbage) — moved to :meth:`quarantine_path`.
         self.quarantined = 0
@@ -202,11 +241,19 @@ class RunStore:
         payload["sum"] = _checksum(payload)
         line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with self._write_lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
+            self._appender.append(line)
             self._records[key] = record
+
+    def close(self) -> None:
+        """Close the append handle (idempotent; a later put reopens)."""
+        with self._write_lock:
+            self._appender.close()
+
+    def __enter__(self) -> "RunStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def metrics_path(self) -> Path:
         """Where the sweep's instrumentation JSON lives (sibling file)."""

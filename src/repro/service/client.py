@@ -1,27 +1,43 @@
 """A stdlib HTTP client for the prover service.
 
-Thin and dependency-free (``urllib``): the loadgen, the smoke tests,
-the cluster router, and any external tool drive the service through
-this.  One instance is safe to share across threads — each call opens
-its own connection.
+Thin and dependency-free (``http.client``): the loadgen, the smoke
+tests, the cluster router, and any external tool drive the service
+through this.
+
+Connections: HTTP/1.1 keep-alive.  The client keeps the connections it
+opened in a lock-guarded idle list.  A request takes an idle connection
+or opens a new one, and after a complete response puts it back, unless
+the server said it will close.  Any exception, a timeout included,
+closes the connection instead, so a connection in an unknown state is
+never reused.  The list grows only to the peak number of concurrent
+callers, and one instance is safe to share across threads.
+:meth:`close` (or leaving a ``with`` block) closes the idle
+connections; a later request simply opens a new one.
 
 Transport resilience: a worker restart (or any network blip) surfaces
 as ``ECONNREFUSED``/``ECONNRESET``/read timeouts mid-call.  Those are
 safe to retry — ``POST /prove`` is idempotent (the service
 single-flights on :meth:`~repro.eval.tasks.TheoremTask.cache_key`, so
 a duplicate submit joins the in-flight job instead of starting a
-second search) and every ``GET`` is read-only — so :meth:`_request`
+second search) and every ``GET`` is read-only — so :meth:`_transport`
 retries transient transport errors with bounded, deterministic
 seeded backoff (:func:`~repro.llm.resilient.stable_jitter`).  HTTP
 *error responses* (4xx/5xx) are answers, not transport faults, and
 are never retried.  Exhaustion raises :class:`ProverTransportError`;
 ``client.transport_retries`` counts retries for observability.
 
+One failure is not a fault: a reused connection that the server closed
+while it sat idle fails with a ``ConnectionError`` (reset, broken pipe,
+``RemoteDisconnected``) before any status line arrives.  That request
+is resent once, at once, on a fresh connection, and the resend is not
+counted in ``transport_retries``.  A client with ``retries=0`` thus
+survives a server that drops idle connections.
+
 Usage::
 
-    client = ProverClient("http://127.0.0.1:8421")
-    job = client.prove(theorem="rev_involutive", model="gpt-4o")
-    record = client.wait(job["job"], timeout=120.0)
+    with ProverClient("http://127.0.0.1:8421") as client:
+        job = client.prove(theorem="rev_involutive", model="gpt-4o")
+        record = client.wait(job["job"], timeout=120.0)
     if record["record"]["status"] == "proved":
         print(record["record"]["generated_proof"])
 """
@@ -30,10 +46,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.llm.resilient import stable_jitter
@@ -83,28 +98,84 @@ class ProverClient:
         self.sleep = sleep
         #: Transport retries performed over this client's lifetime.
         self.transport_retries = 0
+        scheme, _, rest = self.base_url.partition("://")
+        self._netloc, slash, path = rest.partition("/")
+        self._prefix = slash + path  # prepended to every route
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if scheme == "https"
+            else http.client.HTTPConnection
+        )
+        # Idle keep-alive connections; see the module docstring.
+        self._lock = threading.Lock()
+        self._idle: List[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close the idle connections (a later request opens a new one)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ProverClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
 
-    def _open(self, request) -> dict:
-        with urllib.request.urlopen(
-            request, timeout=self.timeout
-        ) as response:
-            return json.loads(response.read().decode("utf-8"))
+    def _connect(self) -> http.client.HTTPConnection:
+        return self._connection_class(self._netloc, timeout=self.timeout)
 
-    def _request(
-        self, method: str, path: str, body: Optional[dict] = None
-    ) -> dict:
+    def _exchange(
+        self, method: str, url: str, data: Optional[bytes], headers: dict
+    ) -> Tuple[int, bytes]:
+        """One request and its complete response on a pooled connection."""
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        if connection is None:
+            connection = self._connect()
+        try:
+            try:
+                connection.request(method, url, body=data, headers=headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server closed the idle connection before any
+                # status line came back: resend once on a fresh one.
+                connection.close()
+                connection = self._connect()
+                connection.request(method, url, body=data, headers=headers)
+                response = connection.getresponse()
+            body = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.append(connection)
+        return response.status, body
+
+    def _transport(
+        self,
+        method: str,
+        path: str,
+        body: Optional[dict] = None,
+        accept: str = "application/json",
+    ) -> bytes:
+        """The raw body of a 2xx response to ``method path``."""
         data = None
-        headers = {"Accept": "application/json"}
+        headers = {"Accept": accept}
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
         last: Optional[Exception] = None
         for attempt in range(self.retries + 1):
             if attempt:
@@ -114,24 +185,29 @@ class ProverClient:
                     delay * (1.0 + stable_jitter(path, attempt))
                 )
             try:
-                return self._open(request)
-            except urllib.error.HTTPError as exc:
-                # A status line came back: this is a response, not a
-                # transport fault — surface it without retrying.
-                try:
-                    payload = json.loads(exc.read().decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    payload = {"error": str(exc)}
-                raise ProverServiceError(exc.code, payload) from exc
+                status, payload = self._exchange(
+                    method, self._prefix + path, data, headers
+                )
             except (OSError, http.client.HTTPException) as exc:
                 # ECONNREFUSED/ECONNRESET/timeouts/torn responses — the
-                # shapes a restarting worker produces.  URLError is an
-                # OSError subclass, so this covers urlopen's wrapping.
+                # shapes a restarting worker produces.
                 last = exc
+                continue
+            if status >= 400:
+                # A status line came back: this is a response, not a
+                # transport fault — surface it without retrying.
+                raise ProverServiceError(status, _error_payload(payload))
+            return payload
         raise ProverTransportError(
             f"{method} {path} failed after {self.retries + 1} attempts: "
             f"{type(last).__name__}: {last}"
         ) from last
+
+    def _request(
+        self, method: str, path: str, body: Optional[dict] = None
+    ) -> dict:
+        data = self._transport(method, path, body)
+        return json.loads(data.decode("utf-8"))
 
     # ------------------------------------------------------------------
     # Routes
@@ -192,16 +268,17 @@ class ProverClient:
 
     def metrics_text(self) -> str:
         """``GET /metrics`` in Prometheus text exposition format."""
-        request = urllib.request.Request(
-            self.base_url + "/metrics?format=prometheus",
-            headers={"Accept": "text/plain"},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise ProverServiceError(
-                exc.code, {"error": str(exc)}
-            ) from exc
+        return self._transport(
+            "GET", "/metrics?format=prometheus", accept="text/plain"
+        ).decode("utf-8")
+
+
+def _error_payload(data: bytes) -> dict:
+    """The server's JSON error object, or the raw text wrapped as one."""
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        payload = None
+    if isinstance(payload, dict):
+        return payload
+    return {"error": data.decode("utf-8", "replace")}

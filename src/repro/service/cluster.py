@@ -263,7 +263,8 @@ class ProverCluster(Frontend):
                 self.metrics.incr("cluster.journal.replayed")
 
     def close(self, timeout: Optional[float] = 30.0) -> bool:
-        """Graceful drain: finish admitted jobs, then stop the fleet."""
+        """Graceful drain: finish admitted jobs, then stop the fleet and
+        close the router cache's store and the journal."""
         deadline = None if timeout is None else time.monotonic() + timeout
         drained = self.scheduler.shutdown(timeout=timeout)
         fleet_clean = self.supervisor.stop(
@@ -271,6 +272,7 @@ class ProverCluster(Frontend):
             if deadline is None
             else max(1.0, deadline - time.monotonic())
         )
+        self._close_files()
         return drained and fleet_clean
 
     def abort(self) -> None:
@@ -280,12 +282,19 @@ class ProverCluster(Frontend):
         a power loss would — so a fresh cluster on the same state dir
         exercises full replay.  The scheduler's abort comes first: a
         job of the dead router must never append to a journal (or a
-        router cache) a successor is about to replay.
+        router cache) a successor is about to replay, so their handles
+        can close right after it.
         """
         self.scheduler.abort()
+        self._close_files()
         for index in range(self.supervisor.size()):
             self.supervisor.kill_worker(index)
         self.supervisor.stop(timeout=1.0)
+
+    def _close_files(self) -> None:
+        self.cache.close()
+        if self.journal is not None:
+            self.journal.close()
 
     def describe(self) -> str:
         config = self.config

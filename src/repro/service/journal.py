@@ -29,9 +29,14 @@ sees the 202); ``dispatched`` after the task is handed to a worker
 log, not a table); ``done`` / ``failed`` are terminal.  A job with no
 terminal event is *pending* and must be replayed on restart.
 
-Each append is flushed to the operating system before the caller
-proceeds, but not ``fsync``-ed: a line survives a crash of the process,
-not a power loss or kernel crash.
+The first append opens the file, and the handle stays open for the
+later ones.  Each append is flushed to the operating system before the
+caller proceeds, but not ``fsync``-ed: a line survives a crash of the
+process, not a power loss or kernel crash.  :meth:`JobJournal.close`
+closes the handle; it is idempotent, and a later append reopens the
+file.  A journal file has one writer: the router that loaded it.  A
+crash-stopped router must never append again, which the scheduler's
+abort guarantees (:meth:`~repro.service.scheduler.Scheduler.abort`).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.eval.store import checksum_payload, quarantine_lines
+from repro.eval.store import LineAppender, checksum_payload, quarantine_lines
 
 __all__ = ["JobJournal", "JournalEntry"]
 
@@ -74,11 +79,12 @@ class JobJournal:
     def __init__(self, path) -> None:
         self.path = Path(path)
         self._write_lock = threading.Lock()
+        self._appender = LineAppender(self.path)
         #: Jobs in admission order (dict preserves insertion order).
         self.entries: Dict[str, JournalEntry] = {}
         #: Lines rejected on load (torn writes, checksum mismatches).
         self.quarantined = 0
-        # Entries per state, kept current by _ingest so stats() never
+        # Entries per state, kept current by _apply so stats() never
         # walks the entries.
         self._tally = {"pending": 0, "done": 0, "failed": 0}
         if self.path.exists():
@@ -96,31 +102,39 @@ class JobJournal:
                 line = raw.strip()
                 if not line:
                     continue
-                if self._ingest(line):
-                    good.append(line)
-                else:
+                obj = self._parse(line)
+                if obj is None:
                     bad.append(line)
+                else:
+                    self._apply(obj)
+                    good.append(line)
         if bad:
             self.quarantined = len(bad)
             quarantine_lines(self.path, good, bad)
 
-    def _ingest(self, line: str) -> bool:
-        """Apply one journal line; False = corrupt, quarantine it."""
+    @staticmethod
+    def _parse(line: str) -> Optional[dict]:
+        """One line's verified payload; None = corrupt, quarantine it."""
         try:
             obj = json.loads(line)
         except json.JSONDecodeError:
-            return False
+            return None
         if not isinstance(obj, dict):
-            return False
+            return None
         stored_sum = obj.pop("sum", None)
         if stored_sum != checksum_payload(obj):
             # Unlike the run store, journal lines are never legacy —
             # a missing or wrong checksum is always corruption.
-            return False
-        event = obj.get("event")
-        job = obj.get("job")
-        if event not in _EVENTS or not isinstance(job, str):
-            return False
+            return None
+        if obj.get("event") not in _EVENTS or not isinstance(
+            obj.get("job"), str
+        ):
+            return None
+        return obj
+
+    def _apply(self, obj: dict) -> None:
+        """Fold one verified event into the in-memory view."""
+        event, job = obj["event"], obj["job"]
         entry = self.entries.get(job)
         if entry is None:
             entry = self.entries[job] = JournalEntry(job)
@@ -136,7 +150,6 @@ class JobJournal:
         elif event == "failed":
             entry.error = obj.get("error", "unknown failure")
         self._count(entry, +1)
-        return True
 
     def _count(self, entry: JournalEntry, sign: int) -> None:
         self._tally["pending"] += sign * entry.pending()
@@ -170,19 +183,27 @@ class JobJournal:
         self._append({"event": "failed", "job": job, "error": error})
 
     def _append(self, payload: dict) -> None:
-        payload = dict(payload)
-        payload["sum"] = checksum_payload(
-            {k: v for k, v in payload.items() if k != "sum"}
+        line = json.dumps(
+            {**payload, "sum": checksum_payload(payload)},
+            sort_keys=True,
+            separators=(",", ":"),
         )
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with self._write_lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
+            self._appender.append(line)
             # Keep the in-memory view current so stats()/pending() on a
             # live journal agree with what a reload would see.
-            self._ingest(line)
+            self._apply(payload)
+
+    def close(self) -> None:
+        """Close the append handle (idempotent; a later append reopens)."""
+        with self._write_lock:
+            self._appender.close()
+
+    def __enter__(self) -> "JobJournal":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
 

@@ -145,6 +145,11 @@ class ProofCache:
         with self._lock:
             return len(self._inflight)
 
+    def close(self) -> None:
+        """Close the store's append handle (a later put reopens it)."""
+        if self.store is not None:
+            self.store.close()
+
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:

@@ -201,6 +201,7 @@ class Supervisor:
         port = parent_conn.recv()
         parent_conn.close()
         with self._lock:
+            stale = worker.client  # the dead predecessor's connections
             worker.process = process
             worker.port = port
             worker.client = ProverClient(
@@ -212,9 +213,12 @@ class Supervisor:
             worker.failures = 0
             worker.restart_at = None
             worker.suspect_until = None
+        if stale is not None:
+            stale.close()
 
     def stop(self, timeout: Optional[float] = 30.0) -> bool:
-        """Graceful fleet drain: SIGTERM, join, SIGKILL stragglers."""
+        """Graceful fleet drain: SIGTERM, join, SIGKILL stragglers, then
+        close every worker client."""
         self._stop.set()
         if self._probe_thread is not None:
             self._probe_thread.join(timeout=5.0)
@@ -238,6 +242,9 @@ class Supervisor:
                 worker.process.join(1.0)
                 clean = False
             worker.state = WorkerState.DOWN
+        for worker in self._workers:
+            if worker.client is not None:
+                worker.client.close()
         return clean
 
     # ------------------------------------------------------------------

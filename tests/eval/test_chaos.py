@@ -52,10 +52,10 @@ def _sweep(project, config, store_path, executor=None):
     runner = Runner(project, config)
     theorems = runner.theorems_for("gpt-4o-mini")
     tasks = sweep_tasks(theorems, "gpt-4o-mini", False, config)
-    store = RunStore(store_path)
-    records = runner.run_tasks(
-        tasks, executor=executor or SerialExecutor(), store=store
-    )
+    with RunStore(store_path) as store:
+        records = runner.run_tasks(
+            tasks, executor=executor or SerialExecutor(), store=store
+        )
     return runner, tasks, records
 
 

@@ -52,16 +52,16 @@ def _mini_sweep(project, store_path, config) -> RunStore:
     theorems = runner.theorems_for("gpt-4o-mini")
     tasks = sweep_tasks(theorems, "gpt-4o-mini", False, config)
     tasks += sweep_tasks(theorems, "gpt-4o-mini", True, config)
-    store = RunStore(store_path)
-    runner.run_tasks(tasks, executor=SerialExecutor(), store=store)
+    with RunStore(store_path) as store:
+        runner.run_tasks(tasks, executor=SerialExecutor(), store=store)
     return store
 
 
 def _repair_sweep(project, store_path, config) -> RunStore:
     runner = Runner(project, config)
     tasks = sweep_tasks(REPAIR_THEOREMS, REPAIR_MODEL, True, config)
-    store = RunStore(store_path)
-    runner.run_tasks(tasks, executor=SerialExecutor(), store=store)
+    with RunStore(store_path) as store:
+        runner.run_tasks(tasks, executor=SerialExecutor(), store=store)
     return store
 
 

@@ -28,8 +28,8 @@ def tasks(runner):
 
 class TestPersistence:
     def test_sweep_writes_one_line_per_cell(self, runner, tasks, tmp_path):
-        store = RunStore(tmp_path / "run.jsonl")
-        runner.run_tasks(tasks, store=store)
+        with RunStore(tmp_path / "run.jsonl") as store:
+            runner.run_tasks(tasks, store=store)
         lines = (tmp_path / "run.jsonl").read_text().strip().splitlines()
         assert len(lines) == len(tasks)
         parsed = [json.loads(line) for line in lines]
@@ -43,12 +43,12 @@ class TestPersistence:
     def test_rerun_hits_store_and_searches_nothing(
         self, project, runner, tasks, tmp_path
     ):
-        store = RunStore(tmp_path / "run.jsonl")
-        first = runner.run_tasks(tasks, store=store)
+        with RunStore(tmp_path / "run.jsonl") as store:
+            first = runner.run_tasks(tasks, store=store)
 
         rerun_runner = Runner(project, CONFIG)
-        reloaded = RunStore(tmp_path / "run.jsonl")
-        second = rerun_runner.run_tasks(tasks, store=reloaded)
+        with RunStore(tmp_path / "run.jsonl") as reloaded:
+            second = rerun_runner.run_tasks(tasks, store=reloaded)
         assert second == first
         assert rerun_runner.metrics.counter("tasks.executed") == 0
         assert rerun_runner.metrics.counter("tasks.cached") == len(tasks)
@@ -57,14 +57,14 @@ class TestPersistence:
         assert len(lines) == len(tasks)
 
     def test_different_config_misses_store(self, project, runner, tasks, tmp_path):
-        store = RunStore(tmp_path / "run.jsonl")
-        runner.run_tasks(tasks, store=store)
         other_config = ExperimentConfig(max_theorems=5, fuel=8)
         other_runner = Runner(project, other_config)
         other_tasks = sweep_tasks(
             [t.theorem for t in tasks], "gpt-4o-mini", False, other_config
         )
-        other_runner.run_tasks(other_tasks, store=store)
+        with RunStore(tmp_path / "run.jsonl") as store:
+            runner.run_tasks(tasks, store=store)
+            other_runner.run_tasks(other_tasks, store=store)
         assert other_runner.metrics.counter("tasks.cached") == 0
         assert other_runner.metrics.counter("tasks.executed") == len(tasks)
 
@@ -77,15 +77,15 @@ class TestResume:
 
         # "Crash" after 2 cells, mid-append of the 3rd: the tail line
         # is torn JSON, exactly what a killed process leaves behind.
-        store = RunStore(path)
-        runner.run_tasks(tasks[:2], store=store)
+        with RunStore(path) as store:
+            runner.run_tasks(tasks[:2], store=store)
         with path.open("a") as handle:
             handle.write('{"key": "deadbeef", "rec')
 
         resumed_runner = Runner(project, CONFIG)
-        resumed_store = RunStore(path)
-        assert len(resumed_store) == 2  # torn line dropped on load
-        final = resumed_runner.run_tasks(tasks, store=resumed_store)
+        with RunStore(path) as resumed_store:
+            assert len(resumed_store) == 2  # torn line dropped on load
+            final = resumed_runner.run_tasks(tasks, store=resumed_store)
         assert resumed_runner.metrics.counter("tasks.cached") == 2
         assert resumed_runner.metrics.counter("tasks.executed") == len(tasks) - 2
         assert final == reference
@@ -93,11 +93,10 @@ class TestResume:
     def test_fresh_bypasses_but_still_appends(
         self, project, runner, tasks, tmp_path
     ):
-        store = RunStore(tmp_path / "run.jsonl")
-        first = runner.run_tasks(tasks, store=store)
-
         fresh_runner = Runner(project, CONFIG)
-        again = fresh_runner.run_tasks(tasks, store=store, fresh=True)
+        with RunStore(tmp_path / "run.jsonl") as store:
+            first = runner.run_tasks(tasks, store=store)
+            again = fresh_runner.run_tasks(tasks, store=store, fresh=True)
         assert fresh_runner.metrics.counter("tasks.executed") == len(tasks)
         assert fresh_runner.metrics.counter("tasks.cached") == 0
         assert again == first  # deterministic, so bypass changes nothing
@@ -106,6 +105,20 @@ class TestResume:
         assert len(lines) == 2 * len(tasks)
         assert len(RunStore(tmp_path / "run.jsonl")) == len(tasks)
 
+    def test_put_after_close_reopens_the_file(self, runner, tasks, tmp_path):
+        path = tmp_path / "run.jsonl"
+        first, second = runner.run_tasks(tasks[:2])
+        store = RunStore(path)
+        store.put(tasks[0], first)
+        store.close()
+        store.close()  # idempotent
+        store.put(tasks[1], second)
+        store.close()
+        reloaded = RunStore(path)
+        assert reloaded.quarantined == 0
+        assert reloaded.get(tasks[1].cache_key()) == second
+        assert len(path.read_text().splitlines()) == 2
+
     def test_metrics_path_is_a_sibling(self, tmp_path):
         store = RunStore(tmp_path / "sweep.jsonl")
         assert store.metrics_path() == tmp_path / "sweep.metrics.json"
@@ -113,8 +126,8 @@ class TestResume:
 
 class TestChecksums:
     def test_lines_carry_checksums(self, runner, tasks, tmp_path):
-        store = RunStore(tmp_path / "run.jsonl")
-        runner.run_tasks(tasks[:2], store=store)
+        with RunStore(tmp_path / "run.jsonl") as store:
+            runner.run_tasks(tasks[:2], store=store)
         for line in (tmp_path / "run.jsonl").read_text().splitlines():
             obj = json.loads(line)
             assert len(obj["sum"]) == 16
@@ -125,8 +138,8 @@ class TestChecksums:
     ):
         path = tmp_path / "run.jsonl"
         reference = Runner(project, CONFIG).run_tasks(tasks)
-        store = RunStore(path)
-        runner.run_tasks(tasks, store=store)
+        with RunStore(path) as store:
+            runner.run_tasks(tasks, store=store)
 
         # Flip one character inside the *second* line's record payload:
         # the JSON still parses, only the checksum can catch it.
@@ -149,15 +162,16 @@ class TestChecksums:
         # Resume: only the damaged cell re-executes, and the sweep
         # converges back to the reference outcomes.
         resumed = Runner(project, CONFIG)
-        final = resumed.run_tasks(tasks, store=reloaded)
+        with reloaded:
+            final = resumed.run_tasks(tasks, store=reloaded)
         assert resumed.metrics.counter("tasks.executed") == 1
         assert resumed.metrics.counter("tasks.cached") == len(tasks) - 1
         assert final == reference
 
     def test_torn_tail_is_quarantined(self, runner, tasks, tmp_path):
         path = tmp_path / "run.jsonl"
-        store = RunStore(path)
-        runner.run_tasks(tasks[:2], store=store)
+        with RunStore(path) as store:
+            runner.run_tasks(tasks[:2], store=store)
         with path.open("a") as handle:
             handle.write('{"key": "deadbeef", "rec')
         reloaded = RunStore(path)
@@ -169,8 +183,8 @@ class TestChecksums:
         self, runner, tasks, tmp_path
     ):
         path = tmp_path / "run.jsonl"
-        store = RunStore(path)
-        runner.run_tasks(tasks[:2], store=store)
+        with RunStore(path) as store:
+            runner.run_tasks(tasks[:2], store=store)
         # Strip the checksums, as a pre-checksum store would look.
         lines = []
         for line in path.read_text().splitlines():
@@ -184,8 +198,8 @@ class TestChecksums:
 
     def test_quarantine_rewrite_is_idempotent(self, runner, tasks, tmp_path):
         path = tmp_path / "run.jsonl"
-        store = RunStore(path)
-        runner.run_tasks(tasks[:2], store=store)
+        with RunStore(path) as store:
+            runner.run_tasks(tasks[:2], store=store)
         with path.open("a") as handle:
             handle.write("garbage line\n")
         assert RunStore(path).quarantined == 1
@@ -203,14 +217,13 @@ class TestChecksums:
 
 class TestEvalRunIntegration:
     def test_run_with_store_round_trips_outcomes(self, project, tmp_path):
-        store = RunStore(tmp_path / "run.jsonl")
-        first = Runner(project, CONFIG).run(
-            "gpt-4o-mini", hinted=True, store=store
-        )
+        with RunStore(tmp_path / "run.jsonl") as store:
+            first = Runner(project, CONFIG).run(
+                "gpt-4o-mini", hinted=True, store=store
+            )
         resumed = Runner(project, CONFIG)
-        second = resumed.run(
-            "gpt-4o-mini", hinted=True, store=RunStore(tmp_path / "run.jsonl")
-        )
+        with RunStore(tmp_path / "run.jsonl") as store:
+            second = resumed.run("gpt-4o-mini", hinted=True, store=store)
         assert resumed.metrics.counter("tasks.executed") == 0
         assert [o.status for o in second.outcomes] == [
             o.status for o in first.outcomes

@@ -29,13 +29,13 @@ def run_records(project, store_path, trace, trace_sink=None):
     theorems = runner.theorems_for("gpt-4o-mini")
     tasks = sweep_tasks(theorems, "gpt-4o-mini", False, CONFIG)
     tasks += sweep_tasks(theorems, "gpt-4o-mini", True, CONFIG)
-    store = RunStore(store_path)
-    runner.run_tasks(
-        tasks,
-        executor=SerialExecutor(),
-        store=store,
-        trace_sink=trace_sink,
-    )
+    with RunStore(store_path) as store:
+        runner.run_tasks(
+            tasks,
+            executor=SerialExecutor(),
+            store=store,
+            trace_sink=trace_sink,
+        )
     return store_path.read_text(encoding="utf-8")
 
 

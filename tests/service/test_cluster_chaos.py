@@ -63,14 +63,14 @@ def wait_all(cluster, ids, budget=120.0):
 
 
 def store_bytes(cluster, task_bodies, ids, path):
-    store = RunStore(path)
-    for body, job_id in zip(task_bodies, ids):
-        _, status = cluster.job_status(job_id)
-        assert status["state"] == "done", status
-        store.put(
-            task_from_json(dict(body)),
-            OutcomeRecord.from_json(status["record"]),
-        )
+    with RunStore(path) as store:
+        for body, job_id in zip(task_bodies, ids):
+            _, status = cluster.job_status(job_id)
+            assert status["state"] == "done", status
+            store.put(
+                task_from_json(dict(body)),
+                OutcomeRecord.from_json(status["record"]),
+            )
     return path.read_bytes()
 
 
@@ -357,6 +357,7 @@ def test_degradation_ladder_is_observable_on_healthz(tmp_path):
         assert 'repro_service_jobs{state="done"}' in text
         assert "repro_service_in_flight 0" in text
     finally:
+        client.close()
         httpd.shutdown()
         httpd.server_close()
         cluster.close(timeout=30)

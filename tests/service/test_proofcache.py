@@ -61,7 +61,9 @@ class TestResultCache:
         path = tmp_path / "service.jsonl"
         task = make_task()
         record = make_record(task)
-        ProofCache(path).put(task, record)
+        cold = ProofCache(path)
+        cold.put(task, record)
+        cold.close()
 
         warm = ProofCache(path)
         assert warm.get(task.cache_key()) == record
@@ -72,16 +74,17 @@ class TestResultCache:
         """The cache file format IS the eval RunStore format: a sweep's
         store warm-starts the server, byte for byte."""
         path = tmp_path / "sweep.jsonl"
-        store = RunStore(path)
         task = make_task(theorem="app_nil_r")
         record = make_record(task, status="stuck")
-        store.put(task, record)
+        with RunStore(path) as store:
+            store.put(task, record)
 
         cache = ProofCache(path)
         assert cache.get(task.cache_key()) == record
         # And the server's own writes land back in the same store.
         other = make_task(theorem="rev_involutive")
         cache.put(other, make_record(other))
+        cache.close()
         assert RunStore(path).get(other.cache_key()) is not None
 
 

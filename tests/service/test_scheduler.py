@@ -317,24 +317,26 @@ class TestJournal:
 
         scheduler = Scheduler(execute=execute, journal=journal)
         task = make_task()
-        job = scheduler.submit(task, cell_body(task))
-        assert job.done.wait(10.0)
-        assert pending_at_run == [[job.id]]
-        assert journal.entries[job.id].record == job.record.to_json()
-        assert not journal.pending()
-        assert scheduler.shutdown(timeout=10.0)
+        with journal:
+            job = scheduler.submit(task, cell_body(task))
+            assert job.done.wait(10.0)
+            assert pending_at_run == [[job.id]]
+            assert journal.entries[job.id].record == job.record.to_json()
+            assert not journal.pending()
+            assert scheduler.shutdown(timeout=10.0)
 
     def test_abort_stops_journal_and_cache_writes(self, tmp_path):
         journal = JobJournal(tmp_path / "journal.jsonl")
         execute = GatedExecute()
         scheduler = Scheduler(execute=execute, journal=journal)
         task = make_task()
-        job = scheduler.submit(task, cell_body(task))
-        assert execute.started.wait(10.0)
-        written = journal.path.read_bytes()
-        scheduler.abort()
-        execute.gate.set()
-        assert job.done.wait(10.0)
+        with journal:
+            job = scheduler.submit(task, cell_body(task))
+            assert execute.started.wait(10.0)
+            written = journal.path.read_bytes()
+            scheduler.abort()
+            execute.gate.set()
+            assert job.done.wait(10.0)
         assert journal.path.read_bytes() == written
         assert job.key not in scheduler.cache
 

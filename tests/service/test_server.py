@@ -41,7 +41,8 @@ def boot(project, **overrides):
     return service, httpd, client
 
 
-def shut(service, httpd):
+def shut(service, httpd, client):
+    client.close()
     httpd.shutdown()
     httpd.server_close()
     assert service.close(timeout=30.0)
@@ -51,7 +52,7 @@ def shut(service, httpd):
 def served(project):
     service, httpd, client = boot(project)
     yield service, client
-    shut(service, httpd)
+    shut(service, httpd, client)
 
 
 class TestRoutes:
@@ -199,6 +200,64 @@ class TestListenBacklog:
             service.close(timeout=30.0)
 
 
+def raw_exchange(client, request: bytes) -> bytes:
+    """Send raw bytes to the server; everything it sends until EOF.
+
+    Raises ``socket.timeout`` when the server neither answers nor
+    hangs up within 5 s.
+    """
+    host, _, port = client.base_url.partition("://")[2].rpartition(":")
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def post_with_length(length: str) -> bytes:
+    return (
+        f"POST /prove HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n{{}}"
+    ).encode("ascii")
+
+
+class TestContentLength:
+    """Regression: ``rfile.read(-1)`` reads to EOF, so a negative
+    Content-Length held a handler thread until the client hung up; a
+    non-integer one got its 400 but left the connection open with the
+    body unread, to be parsed as the next request."""
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5", ""])
+    def test_bad_length_is_400_and_closes_the_connection(
+        self, served, length
+    ):
+        _, client = served
+        response = raw_exchange(client, post_with_length(length))
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close\r\n" in response
+
+    def test_body_of_an_unrouted_post_is_consumed(self, served):
+        # Two requests on one connection: the 404's body must not be
+        # parsed as the start of the next request.
+        _, client = served
+        response = raw_exchange(
+            client,
+            (
+                b"POST /nope HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 2\r\n\r\n{}"
+                b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                b"Connection: close\r\n\r\n"
+            ),
+        )
+        assert response.startswith(b"HTTP/1.1 404 ")
+        assert b"HTTP/1.1 200 " in response
+        assert b'"status": "ok"' in response
+
+
 class TestPrometheusMetrics:
     def test_json_remains_the_default(self, served):
         _, client = served
@@ -267,7 +326,7 @@ class TestTracedJobs:
             )
             assert status["state"] == "done"
         finally:
-            shut(service, httpd)
+            shut(service, httpd, client)
         spans = load_spans(trace_path)
         names = {span["name"] for span in spans}
         assert {"job", "task", "search", "expand", "tactic"} <= names
@@ -282,14 +341,14 @@ class TestTracedJobs:
         try:
             plain = client.prove_and_wait(timeout=60.0, **body)
         finally:
-            shut(service, httpd)
+            shut(service, httpd, client)
         service, httpd, client = boot(
             project, trace_path=str(tmp_path / "t.jsonl")
         )
         try:
             traced = client.prove_and_wait(timeout=60.0, **body)
         finally:
-            shut(service, httpd)
+            shut(service, httpd, client)
         assert traced["record"] == plain["record"]
 
 
@@ -354,7 +413,7 @@ class TestDeadline:
             assert status["state"] == "done"
             assert status["record"]["status"] == "timeout"
         finally:
-            shut(service, httpd)
+            shut(service, httpd, client)
 
 
 class TestWarmCache:
@@ -367,7 +426,7 @@ class TestWarmCache:
             first = client.prove_and_wait(timeout=120.0, **body)
             assert first["state"] == "done"
         finally:
-            shut(service, httpd)
+            shut(service, httpd, client)
 
         # A fresh process-equivalent: new service, same cache file.
         warm, httpd, client = boot(project, cache_path=path, workers=2)
@@ -377,7 +436,7 @@ class TestWarmCache:
             assert replay["cached"] is True
             assert replay["record"] == first["record"]
         finally:
-            shut(warm, httpd)
+            shut(warm, httpd, client)
 
 
 class TestRepairKnobs:
@@ -485,4 +544,4 @@ class TestAcceptanceDifferential:
             batchers = client.metrics()["service"]["batchers"]
             assert sum(b["queries"] for b in batchers) > 0
         finally:
-            shut(service, httpd)
+            shut(service, httpd, client)
