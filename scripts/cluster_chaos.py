@@ -10,7 +10,8 @@ recovery contract end to end:
    store.
 2. **kill worker mid-job** — the worker executing the victim theorem
    dies (``os._exit``) mid-search; the supervisor must restart it, the
-   router must re-dispatch, and the final store must be
+   router must re-dispatch (``cluster.jobs.redispatched >= 1``: a lost
+   placement is counted), and the final store must be
    **byte-identical** to the baseline with
    ``repro_cluster_worker_restarts_total >= 1`` on ``/metrics``.
 3. **router crash + journal replay** — the whole cluster is
@@ -182,6 +183,7 @@ def main() -> int:
             time.sleep(0.2)
         restarts = restart_count(cluster)
         deaths = cluster.metrics.counter("cluster.worker_deaths")
+        redispatched = cluster.metrics.counter("cluster.jobs.redispatched")
         write_store(cluster, bodies, ids, root / "kill-store.jsonl")
         cluster.close(timeout=30)
         identical = (
@@ -196,6 +198,11 @@ def main() -> int:
                 f"supervisor never restarted the dead worker "
                 f"(repro_cluster_worker_restarts_total={restarts})"
             )
+        if redispatched < 1:
+            failures.append(
+                "the router never re-placed a job the dead worker held "
+                f"(cluster.jobs.redispatched={redispatched})"
+            )
         if not identical:
             failures.append(
                 "kill-run store differs from baseline (recovery broke "
@@ -203,7 +210,7 @@ def main() -> int:
             )
         lines.append(
             f"kill mid-job: deaths={deaths} restarts={restarts} "
-            f"byte-identical={identical}"
+            f"redispatched={redispatched} byte-identical={identical}"
         )
 
         # ----- 3. router crash + journal replay ----------------------

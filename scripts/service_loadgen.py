@@ -249,6 +249,15 @@ def run_cluster_phase(project, args) -> dict:
         f"http://{host}:{port}", requests, args
     )
 
+    # Where the jobs went: placements that left their ring owner for a
+    # less loaded worker, and each worker's router jobs still in flight
+    # (every hop has ended once every client has its answer).
+    placed_off_owner = cluster.metrics.counter("cluster.jobs.placed_off_owner")
+    _, snapshot = cluster.metrics_snapshot()
+    states = snapshot["service"]["cluster"]["supervisor"]["states"]
+    router_inflight = [
+        states[index]["router_inflight"] for index in sorted(states, key=int)
+    ]
     httpd.shutdown()
     httpd.server_close()
     cluster.close()
@@ -263,6 +272,8 @@ def run_cluster_phase(project, args) -> dict:
     return {
         "cluster_workers": args.cluster_workers,
         "requests": len(requests),
+        "placed_off_owner": placed_off_owner,
+        "router_inflight": router_inflight,
         "completed": len(done),
         "errors": errors,
         "wall_seconds": wall,
@@ -357,7 +368,9 @@ def main() -> int:
             f"(p50 {cluster['latency_p50']:.2f}s, "
             f"p95 {cluster['latency_p95']:.2f}s, "
             f"{args.cluster_workers} workers, "
-            f"{cluster_speedup:.2f}x batched)"
+            f"{cluster_speedup:.2f}x batched, "
+            f"{cluster['placed_off_owner']} of {cluster['requests']} "
+            f"placed off their ring owner)"
         )
     print(f"speedup: {speedup:.2f}x; records identical: {records_equal}")
 
@@ -371,6 +384,11 @@ def main() -> int:
             failures.append(f"cluster client errors: {cluster['errors']}")
         if cluster["completed"] != cluster["requests"]:
             failures.append("cluster phase dropped requests")
+        if any(cluster["router_inflight"]):
+            failures.append(
+                f"router still counts jobs in flight after the pass: "
+                f"{cluster['router_inflight']}"
+            )
         if args.check and cluster_speedup < args.cluster_min_speedup:
             failures.append(
                 f"cluster speedup {cluster_speedup:.2f}x below the "

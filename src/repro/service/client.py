@@ -36,10 +36,16 @@ survives a server that drops idle connections.
 Usage::
 
     with ProverClient("http://127.0.0.1:8421") as client:
-        job = client.prove(theorem="rev_involutive", model="gpt-4o")
-        record = client.wait(job["job"], timeout=120.0)
-    if record["record"]["status"] == "proved":
-        print(record["record"]["generated_proof"])
+        status = client.prove_and_wait(
+            theorem="rev_involutive", model="gpt-4o", timeout=120.0
+        )
+    if status["record"]["status"] == "proved":
+        print(status["record"]["generated_proof"])
+
+``prove_and_wait`` submits with ``POST /prove?wait=``: a job that ends
+within the wait is answered by that one request, and a longer one is
+long-polled with :meth:`ProverClient.wait`.  ``prove()`` without
+``wait`` returns the admission payload at once.
 """
 
 from __future__ import annotations
@@ -213,13 +219,19 @@ class ProverClient:
     # Routes
     # ------------------------------------------------------------------
 
-    def prove(self, **task_fields) -> dict:
+    def prove(self, wait: Optional[float] = None, **task_fields) -> dict:
         """``POST /prove``; returns the admission payload (job id).
 
         Keyword arguments are the task fields (``theorem``/``goal``,
-        ``model``, ``hinted``, ``width``, ``fuel``, …).
+        ``model``, ``hinted``, ``width``, ``fuel``, …).  With ``wait``
+        the server holds the answer until the job ends or ``wait``
+        seconds pass, and answers with the job's status (as
+        :meth:`job` would) plus its ``job`` id.
         """
-        return self._request("POST", "/prove", task_fields)
+        path = "/prove"
+        if wait is not None:
+            path += f"?wait={wait:g}"
+        return self._request("POST", path, task_fields)
 
     def job(self, job_id: str, wait: Optional[float] = None) -> dict:
         """``GET /jobs/<id>``; ``wait`` long-polls server-side."""
@@ -254,11 +266,16 @@ class ProverClient:
     def prove_and_wait(
         self, timeout: float = 300.0, poll: float = 5.0, **task_fields
     ) -> dict:
-        """Submit and block for the result in one call."""
-        admitted = self.prove(**task_fields)
-        if admitted.get("state") in ("done", "failed"):
-            return admitted  # warm cache hit answered inline
-        return self.wait(admitted["job"], timeout=timeout, poll=poll)
+        """Submit and block for the result in one call.
+
+        The submit itself waits up to ``poll`` seconds, so a job that
+        ends by then (or a warm cache hit) costs one request; a job
+        still running is then long-polled for up to ``timeout``.
+        """
+        status = self.prove(wait=min(poll, timeout), **task_fields)
+        if status.get("state") in ("done", "failed"):
+            return status
+        return self.wait(status["job"], timeout=timeout, poll=poll)
 
     def healthz(self) -> dict:
         return self._request("GET", "/healthz")

@@ -11,18 +11,24 @@ admission, placement, and durability; the workers own execution.
 The router is the same :class:`~repro.service.server.Frontend` as the
 single process — one :class:`~repro.service.scheduler.Scheduler` with
 its job table, warm proof cache, single-flight and admission bound.
-Only its ``execute(job)`` differs: it places the job, forwards it to a
-worker and long-polls it to the end, re-placing it when the worker is
-lost.  Every admitted job is forwarded at once (the scheduler may run
-``max_inflight`` of them, one thread each), and the 429 comes once
-``max_inflight`` jobs are unfinished.
+Only its ``execute(job)`` differs: it places the job and forwards it
+to a worker with ``POST /prove?wait=``, which answers when the job ends
+(or after ``POLL_S``, and then the router long-polls the rest), and it
+re-places the job when the worker is lost.  Every admitted job is
+forwarded at once (the scheduler may run ``max_inflight`` of them, one
+thread each), and the 429 comes once ``max_inflight`` jobs are
+unfinished.
 
-**Placement** is consistent hashing: a job's key (the task's
+**Placement** is least-loaded first, in hash-ring order.  The router
+counts its jobs in flight on each worker and places a job on the
+routable worker with the fewest; counts that tie go to the first in
+clockwise order from the job's key (the task's
 :meth:`~repro.eval.tasks.TheoremTask.cache_key`, or a content hash of
-a raw-``goal`` body) lands on a hash ring with virtual nodes, so each
-worker's proof-cache shard sees a stable key range, and an unroutable
-worker's range flows to the next healthy sibling instead of
-rehashing the world.
+a raw-``goal`` body) on a ring with virtual nodes.  An idle or evenly
+loaded cluster thus keeps each worker's proof-cache shard on a stable
+key range, and an unroutable worker's range flows to the next healthy
+sibling instead of rehashing the world; a job whose owner is busier
+than a sibling runs on the sibling instead of sharing a core.
 
 **Durability** is a write-ahead job journal
 (:mod:`repro.service.journal`): the scheduler writes ``admitted``
@@ -50,16 +56,16 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.errors import GenerationError, ReproError
+from repro.errors import ReproError
 from repro.eval.executor import TaskResult
 from repro.eval.store import OutcomeRecord
 from repro.eval.tasks import task_from_json
-from repro.llm import get_model
 from repro.service.client import ProverServiceError, ProverTransportError
 from repro.service.journal import JobJournal
 from repro.service.scheduler import Job, SchedulerConfig
@@ -78,10 +84,12 @@ DEGRADATION_LADDER = ("healthy", "shed_adhoc", "cache_only", "draining")
 VNODES = 64  # ring points per worker
 REDISPATCH_LIMIT = 5  # placements of one job after it was lost
 DISPATCH_WAIT_S = 30.0  # how long a job waits for a routable worker
-# Router->worker long-poll per round.  It must end well inside the
-# worker client's socket timeout, or a poll that runs its full wait
-# times out on the router side and is retried.
+# Router->worker wait per request (the forward's and each long-poll's).
+# It must end well inside the worker client's socket timeout, or a
+# request that runs its full wait times out on the router side and is
+# retried.
 POLL_S = PROBE_TIMEOUT_S / 2
+_REFUSED = object()  # a worker shed the forward with 429/503
 
 
 @dataclass(frozen=True)
@@ -126,26 +134,26 @@ class HashRing:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return int(digest[:16], 16)
 
-    def lookup(self, key: str, routable) -> Optional[int]:
-        """The first routable worker clockwise of ``key``'s point.
+    def order(self, key: str, routable) -> List[int]:
+        """The routable workers clockwise of ``key``'s point, each once.
 
-        Skipping unroutable workers is what reroutes a tripped shard's
-        key range to its ring sibling — no table rebuild, no rehash.
+        The first is the key's owner.  Skipping unroutable workers is
+        what reroutes a tripped shard's key range to its ring sibling —
+        no table rebuild, no rehash.
         """
-        if not self._points:
-            return None
         start = bisect.bisect_left(self._points, (self.point_for(key), -1))
         seen: set = set()
+        order: List[int] = []
         for step in range(len(self._points)):
             _, index = self._points[(start + step) % len(self._points)]
             if index in seen:
                 continue
             seen.add(index)
             if routable(index):
-                return index
+                order.append(index)
             if len(seen) == self.size:
                 break
-        return None
+        return order
 
 
 class PlacementError(ReproError):
@@ -195,6 +203,10 @@ class ProverCluster(Frontend):
         ]
         self.supervisor = Supervisor(specs, metrics=self.metrics)
         self.ring = HashRing(config.workers)
+        # Router jobs in flight per worker: taken and counted under one
+        # lock, so two racing jobs cannot both take the same idle worker.
+        self._placing = threading.Lock()
+        self._inflight = [0] * config.workers
         self._started = False
         self.replayed_jobs = 0
         # Seed the supervision counters so /metrics always exposes the
@@ -205,6 +217,7 @@ class ProverCluster(Frontend):
             "cluster.worker_deaths",
             "cluster.breaker_opens",
             "cluster.jobs.redispatched",
+            "cluster.jobs.placed_off_owner",
             "cluster.journal.replayed",
         ):
             self.metrics.incr(name, 0)
@@ -342,32 +355,27 @@ class ProverCluster(Frontend):
                 "error": "cluster is draining; not accepting work",
                 **degraded,
             }
-        task = None
-        if "goal" in body:
-            if level >= 1:
-                # First rung of the ladder: ad-hoc goals re-elaborate
-                # on every replay and cannot be cache-served, so they
-                # are the first load shed when capacity degrades.
-                self.metrics.incr("cluster.jobs.shed")
-                return 429, {
-                    "error": "cluster degraded: raw-goal requests are "
-                    "shed until the fleet recovers; retry later",
-                    **degraded,
-                }
-            goal = body.get("goal")
-            if not isinstance(goal, str) or not goal.strip():
-                return 400, {"error": "'goal' must be a statement string"}
-        else:
-            try:
-                task = task_from_json(body)
-            except ValueError as exc:
-                return 400, {"error": str(exc)}
-            try:
-                get_model(task.model)
-            except GenerationError as exc:
-                return 400, {"error": str(exc)}
+        if "goal" in body and level >= 1:
+            # First rung of the ladder: ad-hoc goals re-elaborate on
+            # every replay and cannot be cache-served, so they are the
+            # first load shed when capacity degrades.
+            self.metrics.incr("cluster.jobs.shed")
+            return 429, {
+                "error": "cluster degraded: raw-goal requests are "
+                "shed until the fleet recovers; retry later",
+                **degraded,
+            }
+        try:
+            task, goal = self.parse_body(body)
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
+        # A raw goal is forwarded unparsed: the worker names it.
         # With no routable worker only proof-cache hits are served.
-        status, payload = self._admit(task, dict(body), cached_only=level >= 2)
+        status, payload = self._admit(
+            task if goal is None else None,
+            dict(body),
+            cached_only=level >= 2,
+        )
         if status == 503:
             payload.update(degraded)
         return status, payload
@@ -392,11 +400,16 @@ class ProverCluster(Frontend):
 
     def _gauges(self) -> dict:
         level = self.degradation_level()
+        supervisor = self.supervisor.stats()
+        with self._placing:
+            inflight = list(self._inflight)
+        for index, worker in supervisor["states"].items():
+            worker["router_inflight"] = inflight[int(index)]
         return {
             "cluster": {
                 "degraded": level,
                 "ladder": DEGRADATION_LADDER[level],
-                "supervisor": self.supervisor.stats(),
+                "supervisor": supervisor,
                 "journal": (
                     self.journal.stats() if self.journal is not None else None
                 ),
@@ -406,7 +419,7 @@ class ProverCluster(Frontend):
         }
 
     # ------------------------------------------------------------------
-    # Execution: place, forward, poll
+    # Execution: place, forward, follow
     # ------------------------------------------------------------------
 
     def _execute(self, job: Job) -> TaskResult:
@@ -414,26 +427,8 @@ class ProverCluster(Frontend):
         placements = 0
         while True:
             placements += 1
-            index, status = self._place(job)
-            client = self.supervisor.client_for(index)
-            worker_job = status["job"]
-            while status is not None and status.get("state") not in (
-                "done",
-                "failed",
-            ):
-                if self.scheduler.aborted:
-                    raise PlacementError("cluster aborted")
-                try:
-                    status = client.job(worker_job, wait=POLL_S)
-                except ProverTransportError:
-                    # The worker died: report for the breaker, re-place.
-                    self.supervisor.report_failure(index)
-                    status = None
-                except ProverServiceError as exc:
-                    if exc.status != 404:
-                        raise PlacementError(f"worker status error: {exc}")
-                    status = None  # restarted and forgot the job
-            if status is None:
+            status = self._place(job)
+            if status is None:  # the worker lost the job
                 self.metrics.incr("cluster.jobs.redispatched")
                 if placements > REDISPATCH_LIMIT:
                     raise PlacementError(
@@ -447,8 +442,8 @@ class ProverCluster(Frontend):
                 )
             return TaskResult(record=OutcomeRecord.from_json(status["record"]))
 
-    def _place(self, job: Job) -> Tuple[int, dict]:
-        """Submit ``job`` to a routable worker: ``(index, admission)``.
+    def _place(self, job: Job) -> Optional[dict]:
+        """Place ``job`` once: the worker's final status, None if lost.
 
         Waits (bounded) for a routable worker — a restarting fleet is
         a transient condition, not a failure — and retries workers
@@ -458,28 +453,78 @@ class ProverCluster(Frontend):
         while True:
             if self.scheduler.aborted:
                 raise PlacementError("cluster aborted")
-            index = self.ring.lookup(job.key, self.supervisor.routable)
+            index = self._take_worker(job.key)
             if index is not None:
                 try:
-                    response = self.supervisor.client_for(index).prove(
-                        **job.body
-                    )
-                except ProverTransportError:
-                    self.supervisor.report_failure(index)
-                except ProverServiceError as exc:
-                    if exc.status not in (429, 503):
-                        # A worker *rejected* the job (bad goal, unknown
-                        # theorem, ...): terminal, not a fault.
-                        raise PlacementError(
-                            f"worker rejected job (HTTP {exc.status}): "
-                            f"{exc.payload.get('error', exc.payload)}"
-                        )
-                else:
-                    self.supervisor.report_success(index)
-                    self.scheduler.journal_dispatched(job, index)
-                    return index, response
+                    status = self._forward(job, index)
+                finally:
+                    with self._placing:
+                        self._inflight[index] -= 1
+                if status is not _REFUSED:
+                    return status
             if time.monotonic() >= deadline:
                 raise PlacementError(
                     f"no worker took the job within {DISPATCH_WAIT_S:g}s"
                 )
             time.sleep(0.1)
+
+    def _take_worker(self, key: str) -> Optional[int]:
+        """Count a job in flight on the routable worker with the fewest.
+
+        Counts that tie go to the first worker in ring order from
+        ``key``, so an evenly loaded cluster keeps each key on its
+        owner's shard.
+        """
+        order = self.ring.order(key, self.supervisor.routable)
+        if not order:
+            return None
+        with self._placing:
+            index = min(order, key=self._inflight.__getitem__)
+            self._inflight[index] += 1
+        if index != order[0]:
+            self.metrics.incr("cluster.jobs.placed_off_owner")
+        return index
+
+    def _forward(self, job: Job, index: int):
+        """Forward ``job`` to worker ``index`` and follow it to its end.
+
+        Returns the worker's final status, None when the worker lost
+        the job (a transport error once the forward was sent, or a 404
+        for its job), or ``_REFUSED`` when the worker shed it.  Every
+        placement but a refused one journals one ``dispatched`` line.
+        """
+        client = self.supervisor.client_for(index)
+        try:
+            status = client.prove(wait=POLL_S, **job.body)
+        except ProverTransportError:
+            # Lost before or while the worker ran it: report for the
+            # breaker, re-place.
+            self.supervisor.report_failure(index)
+            self.scheduler.journal_dispatched(job, index)
+            return None
+        except ProverServiceError as exc:
+            if exc.status in (429, 503):
+                return _REFUSED
+            # A worker *rejected* the job (bad goal, unknown theorem,
+            # ...): terminal, not a fault.
+            raise PlacementError(
+                f"worker rejected job (HTTP {exc.status}): "
+                f"{exc.payload.get('error', exc.payload)}"
+            )
+        self.supervisor.report_success(index)
+        self.scheduler.journal_dispatched(job, index)
+        worker_job = status["job"]
+        while status.get("state") not in ("done", "failed"):
+            if self.scheduler.aborted:
+                raise PlacementError("cluster aborted")
+            try:
+                status = client.job(worker_job, wait=POLL_S)
+            except ProverTransportError:
+                # The worker died: report for the breaker, re-place.
+                self.supervisor.report_failure(index)
+                return None
+            except ProverServiceError as exc:
+                if exc.status != 404:
+                    raise PlacementError(f"worker status error: {exc}")
+                return None  # restarted and forgot the job
+        return status

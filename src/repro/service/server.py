@@ -9,6 +9,7 @@ against.
 Routes::
 
     POST /prove            admit a proof job (theorem id or raw goal)
+                           (+ ?wait=SECONDS: answer when the job ends)
     GET  /jobs/<id>        job status + result (+ ?wait=SECONDS long-poll)
     GET  /healthz          liveness + uptime
     GET  /metrics          eval Metrics + service gauges; JSON by default,
@@ -22,7 +23,12 @@ theorem via :meth:`~repro.corpus.loader.Project.adhoc_theorem`.
 Responses: **202** with a job id (search admitted), **200** when the
 job completed instantly from the warm proof cache, **400** on a
 malformed request, **404** for an unknown theorem, **429** when
-admission control sheds the request, **503** while draining.
+admission control sheds the request, **503** while draining.  With
+``?wait=SECONDS`` an admitted job is long-polled before the answer,
+exactly as ``GET /jobs/<id>?wait=`` would: the answer is that route's
+payload plus ``"job": <id>``, **200** once the job has finished and
+**202** while it still runs, so a job that ends within the wait costs
+one request.  Every other answer is the same with or without ``wait``.
 
 :class:`Frontend` is what the single-process service and the cluster
 router (:mod:`repro.service.cluster`) share: one
@@ -48,7 +54,7 @@ import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -56,7 +62,7 @@ from repro.errors import CorpusError, GenerationError
 from repro.eval.config import ExperimentConfig
 from repro.eval.instrumentation import Metrics
 from repro.eval.runner import Runner
-from repro.eval.tasks import CACHE_KEY_VERSION, task_from_json
+from repro.eval.tasks import CACHE_KEY_VERSION, TheoremTask, task_from_json
 from repro.llm import get_model
 from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import JsonlSink, Tracer
@@ -163,26 +169,11 @@ def build_http_server(api, host: str, port: int) -> ThreadingHTTPServer:
                 return
             if path.startswith("/jobs/"):
                 job_id = path[len("/jobs/"):]
-                query = parse_qs(parsed.query)
-                wait = None
-                if "wait" in query:
-                    try:
-                        wait = float(query["wait"][0])
-                    except ValueError:
-                        self._send(
-                            400, {"error": "wait must be a number"}
-                        )
-                        return
-                    if not math.isfinite(wait):
-                        # float() happily parses "nan"/"inf", which
-                        # would sail through the long-poll clamp
-                        # (NaN fails every comparison) into
-                        # Event.wait(nan).
-                        self._send(
-                            400,
-                            {"error": "wait must be a finite number"},
-                        )
-                        return
+                try:
+                    wait = _wait_seconds(parsed.query)
+                except ValueError as exc:
+                    self._send(400, {"error": str(exc)})
+                    return
                 self._send(*api.job_status(job_id, wait=wait))
                 return
             self._send(404, {"error": f"no route {path!r}"})
@@ -202,18 +193,51 @@ def build_http_server(api, host: str, port: int) -> ThreadingHTTPServer:
             # Read the body before routing: a keep-alive connection
             # must be left at the next request's first byte.
             data = self.rfile.read(int(length))
-            path = urlparse(self.path).path.rstrip("/")
+            parsed = urlparse(self.path)
+            path = parsed.path.rstrip("/")
             if path != "/prove":
                 self._send(404, {"error": f"no route {path!r}"})
+                return
+            try:
+                wait = _wait_seconds(parsed.query)
+            except ValueError as exc:
+                self._send(400, {"error": str(exc)})
                 return
             try:
                 body = json.loads(data.decode("utf-8") or "{}")
             except ValueError as exc:  # bad JSON or bad UTF-8
                 self._send(400, {"error": f"bad JSON body: {exc}"})
                 return
-            self._send(*api.submit(body))
+            status, payload = api.submit(body)
+            if wait is not None and status == 202:
+                # Long-poll the admitted job here, so a job that ends
+                # within the wait costs its caller one request.
+                job_id = payload["job"]
+                status, payload = api.job_status(job_id, wait=wait)
+                if status == 200:
+                    payload["job"] = job_id
+                    if payload["state"] not in ("done", "failed"):
+                        status = 202
+            self._send(status, payload)
 
     return _HTTPServer((host, port), Handler)
+
+
+def _wait_seconds(query: str) -> Optional[float]:
+    """The ``?wait=SECONDS`` of a request, or None; ValueError if bad."""
+    values = parse_qs(query).get("wait")
+    if values is None:
+        return None
+    try:
+        wait = float(values[0])
+    except ValueError:
+        raise ValueError("wait must be a number") from None
+    if not math.isfinite(wait):
+        # float() happily parses "nan"/"inf", which would sail through
+        # the long-poll clamp (NaN fails every comparison) into
+        # Event.wait(nan).
+        raise ValueError("wait must be a finite number")
+    return wait
 
 
 def install_sigterm_drain():
@@ -292,8 +316,9 @@ class ServerConfig:
 class Frontend:
     """The routes both front ends share, over one scheduler and cache.
 
-    Subclasses define ``submit(body)`` (a body becomes a job through
-    :meth:`_admit`), ``_execute(job)``, ``describe()`` and ``close()``;
+    Subclasses define ``submit(body)`` (a body that passes
+    :meth:`parse_body` becomes a job through :meth:`_admit`),
+    ``_execute(job)``, ``describe()`` and ``close()``;
     ``_gauges()`` adds their own blocks to ``/metrics`` and ``start()``
     boots whatever must run before the first request.
     """
@@ -319,6 +344,32 @@ class Frontend:
 
     def start(self) -> None:
         pass
+
+    def parse_body(self, body) -> Tuple[TheoremTask, Optional[str]]:
+        """The ``POST /prove`` body checks both front ends make.
+
+        Returns the body's task and its raw ``goal`` (None for a
+        theorem body); a goal's task names no theorem yet.  Raises
+        ``ValueError`` with the 400 message.  What needs the project
+        (an unknown theorem, a goal that does not parse) is checked by
+        the single process alone: the router has no project loaded.
+        """
+        if not isinstance(body, dict):
+            raise ValueError("request body must be a JSON object")
+        fields = dict(body)
+        goal = fields.pop("goal", None)
+        if "goal" in body:
+            if "theorem" in fields:
+                raise ValueError("pass either 'theorem' or 'goal'")
+            if not isinstance(goal, str) or not goal.strip():
+                raise ValueError("'goal' must be a statement string")
+            fields["theorem"] = ""  # named when the goal is registered
+        task = task_from_json(fields)
+        try:
+            get_model(task.model)
+        except GenerationError as exc:
+            raise ValueError(str(exc)) from exc
+        return task, goal
 
     def _admit(
         self, task, body: Optional[dict] = None, cached_only: bool = False
@@ -484,30 +535,18 @@ class ProverService(Frontend):
 
     def submit(self, body: dict) -> Tuple[int, dict]:
         """Handle a ``POST /prove`` body: ``(http_status, payload)``."""
-        if not isinstance(body, dict):
-            return 400, {"error": "request body must be a JSON object"}
-        body = dict(body)
-        goal = body.pop("goal", None)
+        try:
+            task, goal = self.parse_body(body)
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
         if goal is not None:
-            if "theorem" in body:
-                return 400, {"error": "pass either 'theorem' or 'goal'"}
-            if not isinstance(goal, str) or not goal.strip():
-                return 400, {"error": "'goal' must be a statement string"}
             try:
                 theorem = self.runner.project.adhoc_theorem(goal)
             except Exception as exc:  # parse/elaboration errors
                 return 400, {
                     "error": f"goal does not parse: {exc}",
                 }
-            body["theorem"] = theorem.name
-        try:
-            task = task_from_json(body)
-        except ValueError as exc:
-            return 400, {"error": str(exc)}
-        try:
-            get_model(task.model)
-        except GenerationError as exc:
-            return 400, {"error": str(exc)}
+            task = replace(task, theorem=theorem.name)
         try:
             self.runner.project.theorem(task.theorem)
         except CorpusError as exc:

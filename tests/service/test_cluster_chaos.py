@@ -82,22 +82,30 @@ def store_bytes(cluster, task_bodies, ids, path):
 def test_ring_is_deterministic_and_covers_all_workers():
     ring = HashRing(4)
     keys = [f"key-{i}" for i in range(200)]
-    owners = [ring.lookup(k, lambda i: True) for k in keys]
-    assert owners == [ring.lookup(k, lambda i: True) for k in keys]
+    owners = [ring.order(k, lambda i: True)[0] for k in keys]
+    assert owners == [ring.order(k, lambda i: True)[0] for k in keys]
     assert set(owners) == {0, 1, 2, 3}  # vnodes spread the ranges
 
 
 def test_ring_reroutes_only_the_dead_workers_ranges():
     ring = HashRing(3)
     keys = [f"key-{i}" for i in range(200)]
-    before = {k: ring.lookup(k, lambda i: True) for k in keys}
-    after = {k: ring.lookup(k, lambda i: i != 1) for k in keys}
+    before = {k: ring.order(k, lambda i: True)[0] for k in keys}
+    after = {k: ring.order(k, lambda i: i != 1)[0] for k in keys}
     for key in keys:
         if before[key] != 1:
             assert after[key] == before[key]  # survivors keep ranges
         else:
             assert after[key] in (0, 2)
-    assert ring.lookup("anything", lambda i: False) is None
+    assert ring.order("anything", lambda i: False) == []
+
+
+def test_ring_order_lists_each_routable_worker_once():
+    ring = HashRing(4)
+    for index in range(200):
+        key = f"key-{index}"
+        assert sorted(ring.order(key, lambda i: True)) == [0, 1, 2, 3]
+        assert sorted(ring.order(key, lambda i: i % 2 == 0)) == [0, 2]
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +166,28 @@ def test_router_follows_a_worker_job_across_long_polls(monkeypatch):
 # ----------------------------------------------------------------------
 # Crash recovery (forked worker fleets)
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"goal": "forall n : nat, n = n", "theorem": THEOREMS[0]},
+        {"goal": "forall n : nat, n = n", "model": "gpt-5-turbo"},
+    ],
+    ids=["goal-and-theorem", "goal-unknown-model"],
+)
+def test_router_rejects_what_every_worker_would(tmp_path, bad):
+    # The single process answers these bodies with 400; a router that
+    # admitted them journaled a job that then failed at a worker.
+    body = {"model": MODEL, **bad}
+    cluster = boot(tmp_path, "validate", workers=1)
+    try:
+        status, payload = cluster.submit(body)
+        assert status == 400, payload
+        assert cluster.journal.entries == {}
+        assert not cluster.journal.path.exists()
+    finally:
+        cluster.close(timeout=30)
 
 
 def test_kill_worker_mid_job_recovers_byte_identical(tmp_path):

@@ -8,6 +8,7 @@ must be byte-identical.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 
@@ -177,6 +178,112 @@ class TestWaitValidation:
             assert body["id"] == payload["job"]
         finally:
             service.close(timeout=30.0)
+
+
+def count_requests(httpd) -> list:
+    """The ``(method, path)`` of every request ``httpd`` serves."""
+    seen = []
+    base = httpd.RequestHandlerClass
+
+    class Counting(base):
+        def do_GET(self):  # noqa: N802
+            seen.append(("GET", self.path))
+            super().do_GET()
+
+        def do_POST(self):  # noqa: N802
+            seen.append(("POST", self.path))
+            super().do_POST()
+
+    httpd.RequestHandlerClass = Counting
+    return seen
+
+
+def post_prove(client, query: str, body: dict):
+    """``POST /prove<query>``: the HTTP status and the JSON payload."""
+    status, data = client._exchange(
+        "POST",
+        "/prove" + query,
+        json.dumps(body).encode("utf-8"),
+        {"Content-Type": "application/json"},
+    )
+    return status, json.loads(data.decode("utf-8"))
+
+
+class TestWaitingSubmit:
+    """``POST /prove?wait=``: a job that ends within the wait is
+    answered, record and all, by the one request that submitted it."""
+
+    BODY = {"theorem": "rev_involutive", "model": "gpt-4o", "fuel": FUEL}
+
+    def test_a_job_that_ends_within_the_wait_answers_200(self, project):
+        service, httpd, client = boot(project)
+        requests = count_requests(httpd)
+        try:
+            status, payload = post_prove(client, "?wait=30", self.BODY)
+        finally:
+            shut(service, httpd, client)
+        assert status == 200
+        assert payload["state"] == "done"
+        assert payload["job"] == payload["id"]
+        assert payload["record"]["theorem"] == "rev_involutive"
+        assert payload["cached"] is False
+        assert requests == [("POST", "/prove?wait=30")]
+
+    def test_a_job_still_running_answers_202_with_its_state(self, project):
+        # Every model dispatch takes 0.5 s: the search outlives the wait.
+        service, httpd, client = boot(project, query_overhead=0.5)
+        body = dict(self.BODY, fuel=1)
+        try:
+            status, payload = post_prove(client, "?wait=0.05", body)
+            assert status == 202
+            assert payload["state"] in ("queued", "running")
+            assert payload["job"] == payload["id"]
+            assert payload["task"]["theorem"] == "rev_involutive"
+            assert "record" not in payload
+            done = client.wait(payload["job"], timeout=60.0)
+        finally:
+            shut(service, httpd, client)
+        assert done["state"] == "done"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "abc"])
+    def test_bad_wait_is_400_and_admits_nothing(self, served, bad):
+        service, client = served
+        status, payload = post_prove(client, f"?wait={bad}", self.BODY)
+        assert status == 400
+        assert payload["error"].startswith("wait must be a")
+        assert service.scheduler.stats()["jobs"] == {
+            "queued": 0, "running": 0, "done": 0, "failed": 0,
+        }
+
+    def test_without_wait_the_answer_is_the_admission(self, served):
+        _, client = served
+        status, payload = post_prove(client, "", self.BODY)
+        assert status == 202
+        assert set(payload) == {"job", "state", "key", "cached"}
+        client.wait(payload["job"], timeout=60.0)
+
+    def test_answers_other_than_an_admission_ignore_wait(self, served):
+        _, client = served
+        client.prove_and_wait(timeout=60.0, **self.BODY)
+        plain = post_prove(client, "", self.BODY)
+        waited = post_prove(client, "?wait=5", self.BODY)
+        assert plain[0] == waited[0] == 200  # warm cache hits
+        assert set(waited[1]) == set(plain[1])
+        assert waited[1]["record"] == plain[1]["record"]
+        unknown = dict(self.BODY, theorem="no_such_lemma")
+        assert post_prove(client, "?wait=5", unknown)[0] == 404
+
+    def test_prove_and_wait_on_a_fast_job_sends_one_request(self, project):
+        service, httpd, client = boot(project)
+        requests = count_requests(httpd)
+        try:
+            status = client.prove_and_wait(
+                timeout=60.0, poll=30.0, **self.BODY
+            )
+        finally:
+            shut(service, httpd, client)
+        assert status["state"] == "done"
+        assert requests == [("POST", "/prove?wait=30")]
 
 
 class TestListenBacklog:
