@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import KernelError
+from repro.kernel import cache as _cache
 from repro.kernel.env import Environment
 from repro.kernel.pretty import pp_term, pp_type
 from repro.kernel.subst import alpha_fingerprint, alpha_key, fresh_name
@@ -27,6 +28,23 @@ from repro.kernel.types import TArrow, TCon, TVar, Type
 from repro.kernel.unify import MetaStore
 
 __all__ = ["VarDecl", "HypDecl", "Decl", "Goal", "ProofState", "initial_state"]
+
+# The display text of each term rendered in this task.  A child
+# state's display shares most hypotheses with its parent's, so each
+# prompt renders only what the last tactic changed.  A kernel cache:
+# emptied per task and bypassed with the caches off.
+_RENDERED = _cache.BoundedCache("render", capacity=1_024)
+
+
+def _render(term: Term) -> str:
+    """``pp_term(term)``, memoized per task."""
+    if not _cache.enabled():
+        return pp_term(term)
+    text = _RENDERED.get(term)
+    if text is None:
+        text = pp_term(term)
+        _RENDERED.put(term, text)
+    return text
 
 
 @dataclass(frozen=True)
@@ -48,7 +66,7 @@ class HypDecl:
     prop: Term
 
     def render(self) -> str:
-        return f"{self.name} : {pp_term(self.prop)}"
+        return f"{self.name} : {_render(self.prop)}"
 
 
 Decl = Union[VarDecl, HypDecl]
@@ -166,7 +184,7 @@ class Goal:
         """Coq-style goal display (context, bar, conclusion)."""
         lines = [decl.render() for decl in self.decls]
         lines.append("=" * 30)
-        lines.append(pp_term(self.concl))
+        lines.append(_render(self.concl))
         return "\n".join(lines)
 
     def key(self, store: MetaStore) -> str:

@@ -99,12 +99,11 @@ class SimulatedModel:
         syntactically valid tactics even when misapplied, which is the
         cheap mechanism by which hints still help weak models (paper
         Table 2: every model gains from hints)."""
-        from repro.llm.retrieval import _proof_steps
         from repro.llm.sampling import corrupt
 
         hint_steps: List[str] = []
         for lemma in view.hinted_lemmas()[:12]:
-            hint_steps.extend(_proof_steps(lemma.proof or ""))
+            hint_steps.extend(lemma.steps)
 
         lemma_names = list(view.lemmas) or ["lemma"]
         hyp_names = [h.name for h in view.hyps if not h.is_var] or ["H"]

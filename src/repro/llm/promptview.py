@@ -5,20 +5,37 @@ Everything here works on the prompt *text only* — regular expressions
 over the Coq-style source plus the raw term parser on the goal display
 — so a model's knowledge is exactly bounded by its (possibly
 truncated) context window.
+
+The search prompts one theorem up to 128 times with the same context,
+and the contexts of one file share most of their paragraphs, so every
+reading here is a pure function of some text and is memoized by it:
+each context paragraph, each context, each lemma statement and each
+goal or hypothesis text (DESIGN.md §4b).
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ParseError
+from repro.kernel.cache import BoundedCache
 from repro.kernel.parser import parse_term
 from repro.kernel.terms import Term
 from repro.prompting.prompt import GOAL_HEADER, THEOREM_HEADER
 
-__all__ = ["LemmaView", "HypView", "PromptView", "parse_prompt"]
+__all__ = [
+    "LemmaView",
+    "HypView",
+    "PromptView",
+    "Signature",
+    "parse_prompt",
+    "proof_steps",
+    "signature_tokens",
+]
 
 _LEMMA_RE = re.compile(
     r"^(?:Lemma|Theorem|Axiom)\s+(\w+)\s*:\s*(.*?)\.\s*$",
@@ -36,6 +53,7 @@ _INDUCTIVE_RE = re.compile(
 )
 _RULE_RE = re.compile(r"^\s*\|\s*(\w+)\s*:\s*(.+?)$", re.MULTILINE)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_SENTENCE_RE = re.compile(r"[^.;]+[.]")
 # Repair-round feedback lines (repro.repair.prompts): the tactics a
 # previous attempt tried at this frontier and the checker refused.
 _FAILED_TACTIC_RE = re.compile(
@@ -57,10 +75,60 @@ _TYPEISH = {
     "prog",
 }
 
+# Identifiers too common to say what a statement is about.
+_STOP = {
+    "forall",
+    "exists",
+    "fun",
+    "Type",
+    "Prop",
+    "nat",
+    "list",
+    "bool",
+    "prod",
+    "option",
+    "True",
+    "False",
+}
+
+
+def idents(text: str) -> Set[str]:
+    return set(_IDENT_RE.findall(text))
+
+
+def signature_tokens(text: str) -> Set[str]:
+    """The identifiers of ``text`` that say what it is about."""
+    return {t for t in idents(text) if t not in _STOP and len(t) > 1}
+
+
+class Signature(NamedTuple):
+    """A statement's signature tokens, its binder names removed."""
+
+    conclusion: frozenset
+    lhs: frozenset  # of an equation's left-hand side; empty otherwise
+    statement: frozenset
+
+
+def proof_steps(proof: str) -> List[str]:
+    """Split a hint proof into tactic sentences (bullets dropped)."""
+    steps: List[str] = []
+    for raw in _SENTENCE_RE.findall(proof):
+        text = raw.strip().lstrip("-+*{} \t\n")
+        if text.endswith("."):
+            text = text[:-1]
+        text = text.strip()
+        if text:
+            steps.append(text)
+    return steps
+
 
 @dataclass
 class LemmaView:
-    """A lemma/axiom statement as seen in the prompt."""
+    """A lemma/axiom statement as seen in the prompt.
+
+    Every context that shows the same lemma with the same proof (or
+    none) shares one view of it, so views are read-only once parsed.
+    """
 
     name: str
     statement: str
@@ -69,6 +137,24 @@ class LemmaView:
     is_equation: bool
     proof: Optional[str] = None  # hint setting only
     binders: frozenset = frozenset()  # universally bound names
+
+    @cached_property
+    def signature(self) -> Signature:
+        lhs = frozenset()
+        if self.is_equation:
+            lhs = frozenset(
+                signature_tokens(self.conclusion.split("=")[0]) - self.binders
+            )
+        return Signature(
+            frozenset(signature_tokens(self.conclusion) - self.binders),
+            lhs,
+            frozenset(signature_tokens(self.statement) - self.binders),
+        )
+
+    @cached_property
+    def steps(self) -> List[str]:
+        """The tactic sentences of ``proof`` (none without one)."""
+        return proof_steps(self.proof) if self.proof else []
 
 
 _BINDER_PREFIX_RE = re.compile(r"^forall\s+(.*?),", re.DOTALL)
@@ -113,8 +199,16 @@ class PromptView:
     # Tactics a repair-feedback block reports as already refused by the
     # checker at this frontier (an attentive model won't retry them).
     failed_tactics: List[str] = field(default_factory=list)
+    # What the context alone decides, read once per context and shared
+    # by every view of it: the lemmas it shows a proof of, and the
+    # tactic-head frequencies of those proofs.  A view built by hand
+    # leaves them None and derives them from ``lemmas`` on use.
+    hinted: Optional[List[LemmaView]] = None
+    head_priors: Optional[Dict[str, float]] = None
 
     def hinted_lemmas(self) -> List[LemmaView]:
+        if self.hinted is not None:
+            return self.hinted
         return [l for l in self.lemmas.values() if l.proof]
 
 
@@ -162,37 +256,108 @@ def _head_of(conclusion: str) -> Tuple[str, bool]:
     return (match.group(0) if match else "?", False)
 
 
-def idents(text: str) -> Set[str]:
-    return set(_IDENT_RE.findall(text))
+def head_priors(hinted: Sequence[LemmaView]) -> Dict[str, float]:
+    """Tactic-head frequencies across the steps of ``hinted``'s proofs."""
+    counts: Counter = Counter()
+    total = 0
+    for lemma in hinted:
+        for step in lemma.steps:
+            head = step.split()[0] if step.split() else ""
+            if head:
+                counts[head] += 1
+                total += 1
+    if not total:
+        return {}
+    return {head: count / total for head, count in counts.items()}
 
 
-# ``(conclusion, head, is_equation, binders)`` of each statement text
-# read so far: the prompts of one project state the same lemmas again
-# and again.  Every part is a pure function of the text, so the memo is
-# exact; it is emptied when full, and a racing thread can only make it
-# parse a statement again.
-_STATEMENT_SHAPES: Dict[str, Tuple[str, str, bool, frozenset]] = {}
-_STATEMENT_SHAPES_MAX = 4_096
+# The text memos.  Each maps a text to a pure function of it, so a
+# stale entry cannot exist; each is bounded and evicts its oldest
+# entry when full, and a racing thread can only compute an entry
+# twice.  The bounds cover one project's statements and paragraphs,
+# one file's run of contexts, and the goal and hypothesis texts of a
+# few searches.
+_VIEWS = BoundedCache("prompt_lemmas", 4_096, register=False)
+_PARAGRAPHS = BoundedCache("prompt_paragraphs", 4_096, register=False)
+_CONTEXTS = BoundedCache("prompt_contexts", 64, register=False)
+_TERMS = BoundedCache("prompt_terms", 1_024, register=False)
 
 
-def _lemma_view(name: str, statement: str) -> LemmaView:
-    """A fresh view of ``statement`` (``proof`` is set per context)."""
-    shape = _STATEMENT_SHAPES.get(statement)
-    if shape is None:
+def _lemma_view(
+    name: str, statement: str, proof: Optional[str] = None
+) -> LemmaView:
+    """The one view of lemma ``name`` stating ``statement`` (showing
+    ``proof``)."""
+    key = (name, statement, proof)
+    view = _VIEWS.get(key)
+    if view is None:
         conclusion = _conclusion_of(statement)
         head, is_eq = _head_of(conclusion)
-        shape = (conclusion, head, is_eq, _binder_names(statement))
-        if len(_STATEMENT_SHAPES) >= _STATEMENT_SHAPES_MAX:
-            _STATEMENT_SHAPES.clear()
-        _STATEMENT_SHAPES[statement] = shape
-    conclusion, head, is_eq, binders = shape
-    return LemmaView(name, statement, conclusion, head, is_eq, binders=binders)
+        view = LemmaView(
+            name, statement, conclusion, head, is_eq,
+            proof=proof, binders=_binder_names(statement),
+        )
+        _VIEWS.put(key, view)
+    return view
 
 
-_CONTEXT_CACHE: Dict[str, tuple] = {}
+class _Paragraph(NamedTuple):
+    """What one context paragraph declares, in text order."""
+
+    lemmas: Tuple[LemmaView, ...]
+    rules: Tuple[LemmaView, ...]  # an inductive's introduction rules
+    definitions: Tuple[str, ...]
+    fixpoints: Tuple[str, ...]
+    inductive_preds: Tuple[str, ...]
 
 
-def _parse_context(context: str) -> tuple:
+def _parse_paragraph(text: str) -> _Paragraph:
+    """Read one paragraph of a context (a declaration or file header).
+
+    No regular expression here matches across a blank line in the
+    contexts :func:`repro.prompting.context.context_for` builds, so a
+    context's parse is its paragraphs' parses put together
+    (``tests/llm/test_context_parse.py`` holds the whole-text reading
+    as the reference).
+    """
+    parsed = _PARAGRAPHS.get(text)
+    if parsed is not None:
+        return parsed
+    lemmas = []
+    for match in _LEMMA_RE.finditer(text):
+        name, statement = match.group(1), " ".join(match.group(2).split())
+        if statement.endswith("Proof. (* ... *) Qed") or "Proof" in statement:
+            statement = statement.split(".")[0]
+        lemmas.append(_lemma_view(name, statement))
+    rules = [
+        _lemma_view(match.group(1), " ".join(match.group(2).split()))
+        for match in _RULE_RE.finditer(text)
+    ]
+    parsed = _Paragraph(
+        tuple(lemmas),
+        tuple(rules),
+        tuple(_DEFINITION_RE.findall(text)),
+        tuple(_FIXPOINT_RE.findall(text)),
+        tuple(
+            match.group(1)
+            for match in _INDUCTIVE_RE.finditer(text)
+            if "Prop" in match.group(2)
+        ),
+    )
+    _PARAGRAPHS.put(text, parsed)
+    return parsed
+
+
+class _Context(NamedTuple):
+    lemmas: Dict[str, LemmaView]
+    definitions: List[str]
+    fixpoints: List[str]
+    inductive_preds: Set[str]
+    hinted: List[LemmaView]
+    head_priors: Dict[str, float]
+
+
+def _parse_context(context: str) -> _Context:
     """Parse the (per-theorem constant) context block, memoized.
 
     The search queries the model up to 128 times per theorem with the
@@ -200,37 +365,51 @@ def _parse_context(context: str) -> tuple:
     without changing what the model can see.  The cache is keyed by the
     context text itself, so two contexts never share a parse.
     """
-    cached = _CONTEXT_CACHE.get(context)
+    cached = _CONTEXTS.get(context)
     if cached is not None:
         return cached
+    paragraphs = [_parse_paragraph(text) for text in context.split("\n\n")]
     lemmas: Dict[str, LemmaView] = {}
-    for match in _LEMMA_RE.finditer(context):
-        name, statement = match.group(1), " ".join(match.group(2).split())
-        if statement.endswith("Proof. (* ... *) Qed") or "Proof" in statement:
-            statement = statement.split(".")[0]
-        lemmas[name] = _lemma_view(name, statement)
+    for paragraph in paragraphs:
+        for lemma in paragraph.lemmas:
+            lemmas[lemma.name] = lemma
     # Every hint proof contains this literal.  Without one, the lazy
     # ``.*?`` from each ``Lemma`` would scan to the end of the context.
+    # This reading stays whole-text: a hidden proof (``Proof. (* ...
+    # *) Qed.``) does not end a match, so a shown proof is credited to
+    # the hidden-proof lemma above it (pinned in tests/llm).
     if _PROOF_MARK in context:
         for match in _PROOF_RE.finditer(context):
             name, body = match.group(1), match.group(2).strip()
             if name in lemmas and "(* ... *)" not in body:
-                lemmas[name].proof = body
-    for match in _RULE_RE.finditer(context):
-        name, statement = match.group(1), " ".join(match.group(2).split())
-        if name not in lemmas:
-            lemmas[name] = _lemma_view(name, statement)
-    definitions = _DEFINITION_RE.findall(context)
-    fixpoints = _FIXPOINT_RE.findall(context)
-    inductive_preds = set()
-    for match in _INDUCTIVE_RE.finditer(context):
-        if "Prop" in match.group(2):
-            inductive_preds.add(match.group(1))
-    result = (lemmas, definitions, fixpoints, inductive_preds)
-    if len(_CONTEXT_CACHE) > 64:
-        _CONTEXT_CACHE.clear()
-    _CONTEXT_CACHE[context] = result
+                lemmas[name] = _lemma_view(name, lemmas[name].statement, body)
+    for paragraph in paragraphs:
+        for lemma in paragraph.rules:
+            if lemma.name not in lemmas:
+                lemmas[lemma.name] = lemma
+    hinted = [lemma for lemma in lemmas.values() if lemma.proof]
+    result = _Context(
+        lemmas,
+        [name for paragraph in paragraphs for name in paragraph.definitions],
+        [name for paragraph in paragraphs for name in paragraph.fixpoints],
+        {name for paragraph in paragraphs for name in paragraph.inductive_preds},
+        hinted,
+        head_priors(hinted),
+    )
+    _CONTEXTS.put(context, result)
     return result
+
+
+def _read_term(text: str) -> Optional[Term]:
+    """``parse_term(text)``, or None when the text does not parse."""
+    term = _TERMS.get(text)
+    if term is None:
+        try:
+            term = parse_term(text)
+        except ParseError:
+            term = False
+        _TERMS.put(text, term)
+    return term if term is not False else None
 
 
 def parse_prompt(prompt: str) -> PromptView:
@@ -241,12 +420,15 @@ def parse_prompt(prompt: str) -> PromptView:
     goal_pos = prompt.rfind(GOAL_HEADER)
     context = prompt[: theorem_pos if theorem_pos >= 0 else len(prompt)]
 
-    lemmas, definitions, fixpoints, inductive_preds = _parse_context(context)
     # Shared, read-only after caching.
-    view.lemmas = lemmas
-    view.definitions = definitions
-    view.fixpoints = fixpoints
-    view.inductive_preds = inductive_preds
+    (
+        view.lemmas,
+        view.definitions,
+        view.fixpoints,
+        view.inductive_preds,
+        view.hinted,
+        view.head_priors,
+    ) = _parse_context(context)
 
     # Current theorem + steps so far.
     if theorem_pos >= 0:
@@ -292,12 +474,7 @@ def parse_prompt(prompt: str) -> PromptView:
                     name, _, text = stripped.partition(" : ")
                     tokens = idents(text)
                     is_var = bool(tokens) and tokens <= _TYPEISH
-                    term = None
-                    if not is_var:
-                        try:
-                            term = parse_term(text)
-                        except ParseError:
-                            term = None
+                    term = None if is_var else _read_term(text)
                     view.hyps.append(HypView(name.strip(), text, is_var, term))
             else:
                 concl_lines.append(stripped)
@@ -305,8 +482,5 @@ def parse_prompt(prompt: str) -> PromptView:
         if view.goal_text == "No more goals.":
             view.goal_text = ""
         if view.goal_text:
-            try:
-                view.goal_term = parse_term(view.goal_text)
-            except ParseError:
-                view.goal_term = None
+            view.goal_term = _read_term(view.goal_text)
     return view

@@ -16,36 +16,15 @@ Two mechanisms, both operating purely on the prompt text:
 
 from __future__ import annotations
 
-import re
-from collections import Counter
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 from repro.llm.heuristics import Proposal, _add
-from repro.llm.promptview import LemmaView, PromptView, idents
+from repro.llm.promptview import PromptView, head_priors, signature_tokens
 
 __all__ = ["retrieve", "hint_proposals", "hint_head_priors"]
 
-_STOP = {
-    "forall",
-    "exists",
-    "fun",
-    "Type",
-    "Prop",
-    "nat",
-    "list",
-    "bool",
-    "prod",
-    "option",
-    "True",
-    "False",
-}
 
-
-def _signature_tokens(text: str) -> Set[str]:
-    return {t for t in idents(text) if t not in _STOP and len(t) > 1}
-
-
-def _similarity(a: Set[str], b: Set[str]) -> float:
+def _similarity(a, b) -> float:
     if not a or not b:
         return 0.0
     inter = len(a & b)
@@ -56,19 +35,18 @@ def _similarity(a: Set[str], b: Set[str]) -> float:
 def retrieve(view: PromptView, strength: float) -> List[Proposal]:
     """Lemma-application proposals from context statements."""
     out: List[Proposal] = []
-    goal_tokens = _signature_tokens(view.goal_text)
+    goal_tokens = signature_tokens(view.goal_text)
     if not goal_tokens:
         return out
     scored = []
     for lemma in view.lemmas.values():
-        concl_tokens = _signature_tokens(lemma.conclusion) - lemma.binders
+        concl_tokens = lemma.signature.conclusion
         sim = _similarity(goal_tokens, concl_tokens)
         # Equations whose left-hand constants all occur in the goal are
         # prime rewrite candidates even when overall overlap is small
         # (e.g. ``map_app`` against a goal full of ``map`` chains).
         if lemma.is_equation:
-            first = lemma.conclusion.split("=")[0]
-            lhs_tokens = _signature_tokens(first) - lemma.binders
+            lhs_tokens = lemma.signature.lhs
             if lhs_tokens and lhs_tokens <= goal_tokens:
                 sim += 0.35
             elif lhs_tokens & goal_tokens:
@@ -76,6 +54,18 @@ def retrieve(view: PromptView, strength: float) -> List[Proposal]:
         if sim > 0.0:
             scored.append((sim, lemma))
     scored.sort(key=lambda pair: (-pair[0], pair[1].name))
+    # Forward use against a matching hypothesis.  The check reads the
+    # ``concl_tokens`` the scoring loop left behind, those of the
+    # context's last lemma, so every proposed lemma gets the same
+    # hypothesis (pinned in tests/llm/test_reader_quirks.py).
+    forward = None
+    if scored:
+        for hyp in view.hyps:
+            if hyp.is_var:
+                continue
+            if _similarity(signature_tokens(hyp.text), concl_tokens) > 0.4:
+                forward = hyp.name
+                break
     for sim, lemma in scored[:20]:
         base = strength * (0.8 + 2.4 * sim)
         _add(out, f"apply {lemma.name}", base, "retrieval")
@@ -84,35 +74,14 @@ def retrieve(view: PromptView, strength: float) -> List[Proposal]:
         if lemma.is_equation:
             _add(out, f"rewrite {lemma.name}", 1.1 * base, "retrieval")
             _add(out, f"rewrite <- {lemma.name}", 0.4 * base, "retrieval")
-        # Forward use against a matching hypothesis.
-        for hyp in view.hyps:
-            if hyp.is_var:
-                continue
-            if _similarity(_signature_tokens(hyp.text), concl_tokens) > 0.4:
-                _add(
-                    out,
-                    f"apply {lemma.name} in {hyp.name}",
-                    0.4 * base,
-                    "retrieval",
-                )
-                break
+        if forward is not None:
+            _add(
+                out,
+                f"apply {lemma.name} in {forward}",
+                0.4 * base,
+                "retrieval",
+            )
     return out
-
-
-_SENTENCE_RE = re.compile(r"[^.;]+[.]")
-
-
-def _proof_steps(proof: str) -> List[str]:
-    """Split a hint proof into tactic sentences (bullets dropped)."""
-    steps: List[str] = []
-    for raw in _SENTENCE_RE.findall(proof):
-        text = raw.strip().lstrip("-+*{} \t\n")
-        if text.endswith("."):
-            text = text[:-1]
-        text = text.strip()
-        if text:
-            steps.append(text)
-    return steps
 
 
 def hint_proposals(view: PromptView, strength: float) -> List[Proposal]:
@@ -121,25 +90,20 @@ def hint_proposals(view: PromptView, strength: float) -> List[Proposal]:
     hinted = view.hinted_lemmas()
     if not hinted:
         return out
-    goal_tokens = _signature_tokens(view.theorem_statement or view.goal_text)
-    now_tokens = _signature_tokens(view.goal_text)
+    goal_tokens = signature_tokens(view.theorem_statement or view.goal_text)
+    now_tokens = signature_tokens(view.goal_text)
     scored = []
     for lemma in hinted:
         sim = max(
-            _similarity(
-                goal_tokens, _signature_tokens(lemma.statement) - lemma.binders
-            ),
-            _similarity(
-                now_tokens, _signature_tokens(lemma.conclusion) - lemma.binders
-            ),
+            _similarity(goal_tokens, lemma.signature.statement),
+            _similarity(now_tokens, lemma.signature.conclusion),
         )
         if sim > 0.05:
             scored.append((sim, lemma))
     scored.sort(key=lambda pair: (-pair[0], pair[1].name))
     depth = len(view.steps)
     for sim, lemma in scored[:4]:
-        assert lemma.proof is not None
-        steps = _proof_steps(lemma.proof)
+        steps = lemma.steps
         if not steps:
             continue
         base = strength * (0.8 + 3.0 * sim)
@@ -158,16 +122,8 @@ def hint_head_priors(view: PromptView) -> Dict[str, float]:
     Used as a mild prior: models pick up the house style (FSCQ proofs
     lean on ``eauto``/``omega``-like closers) from the provided
     context, which is why hints help even on dissimilar theorems.
+    A parsed view carries its context's priors, read once per context.
     """
-    counts: Counter = Counter()
-    total = 0
-    for lemma in view.hinted_lemmas():
-        assert lemma.proof is not None
-        for step in _proof_steps(lemma.proof):
-            head = step.split()[0] if step.split() else ""
-            if head:
-                counts[head] += 1
-                total += 1
-    if not total:
-        return {}
-    return {head: count / total for head, count in counts.items()}
+    if view.head_priors is not None:
+        return view.head_priors
+    return head_priors(view.hinted_lemmas())

@@ -8,9 +8,10 @@ survives; the distant beginning is dropped.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.corpus.tokenizer import count_tokens
+from repro.kernel.cache import BoundedCache
 
 __all__ = ["truncate_to_window", "counted_lines", "keep_end"]
 
@@ -18,10 +19,10 @@ _MARKER = "(* ...context truncated... *)\n"
 
 # Token count of each line text counted so far, shared by every builder
 # in the process: the prompts of one project repeat the same context
-# lines.  ``count_tokens`` is pure, so the memo is exact; it is emptied
-# when full, and a racing thread can only make it count a line again.
-_LINE_TOKENS: Dict[str, int] = {}
-_LINE_TOKENS_MAX = 16_384
+# lines.  ``count_tokens`` is pure, so the memo is exact; it evicts its
+# oldest line when full, and a racing thread can only make it count a
+# line again.
+_LINE_TOKENS = BoundedCache("line_tokens", 16_384, register=False)
 
 
 def truncate_to_window(prompt: str, window_tokens: int) -> str:
@@ -49,9 +50,7 @@ def counted_lines(text: str) -> Tuple[List[str], List[int]]:
         count = memo.get(line)
         if count is None:
             count = count_tokens(line)
-            if len(memo) >= _LINE_TOKENS_MAX:
-                memo.clear()
-            memo[line] = count
+            memo.put(line, count)
         counts.append(count)
     return lines, counts
 

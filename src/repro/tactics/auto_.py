@@ -24,6 +24,7 @@ import itertools
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import TacticError, UnificationError
+from repro.kernel import cache as _cache
 from repro.kernel.env import Environment
 from repro.kernel.goals import Goal, HypDecl, ProofState, VarDecl
 from repro.kernel.reduction import make_whnf, whnf
@@ -69,15 +70,20 @@ def _candidate(statement: Term, env: Environment) -> _Candidate:
     )
 
 
+def _index_key(env: Environment) -> tuple:
+    """What ``env``'s hint database depends on: its generation (which
+    decides what ``whnf`` can unfold) and the length of each hint list."""
+    return (env.generation, len(env.hint_resolve), len(env.hint_constructors))
+
+
 def _hint_index(env: Environment) -> Tuple[_Candidate, ...]:
     """``env``'s hint database, split once per declaration state.
 
-    Kept on ``env`` and rebuilt only when its generation (which decides
-    what ``whnf`` can unfold) or a hint list changes.  It is published
-    whole: two racing threads may both build it, but neither ever reads
-    a partial index.
+    Kept on ``env`` and rebuilt only when its :func:`_index_key`
+    changes.  It is published whole: two racing threads may both build
+    it, but neither ever reads a partial index.
     """
-    key = (env.generation, len(env.hint_resolve), len(env.hint_constructors))
+    key = _index_key(env)
     index = env.auto_index
     if index is None or index[0] != key:
         hints = tuple(
@@ -96,6 +102,17 @@ def _clash(goal_head: Optional[object], head: Optional[object]) -> bool:
     return goal_head is not None and head is not None and head != goal_head
 
 
+# The goals ``auto`` failed to prove in this task, each with the
+# deepest depth it failed at (DESIGN.md §4a).  Failure is monotone in
+# depth, so a call at that depth or less must fail too, and a failed
+# ``solve`` leaves the ``MetaStore`` as it found it, so skipping the
+# call cannot be observed.  Keyed by the goal itself, its declarations
+# resolved, and by everything else ``solve`` reads: the environment,
+# its hint database and the ``using`` lemmas.  A kernel cache: emptied
+# per task and bypassed with the caches off.
+_AUTO_FAIL = _cache.BoundedCache("auto_fail", capacity=4_096)
+
+
 class _Prover:
     def __init__(
         self,
@@ -111,6 +128,15 @@ class _Prover:
         self.hints = tuple(
             _candidate(statement, env) for _, statement in extra_hints
         ) + _hint_index(env)
+        # A goal's failure depends on nothing else; eauto's deferred
+        # metavariables are out of the memo's scope.
+        self.scope = None
+        if not allow_metas:
+            self.scope = (
+                env,
+                _index_key(env),
+                tuple(name for name, _ in extra_hints),
+            )
 
     # ------------------------------------------------------------------
 
@@ -121,6 +147,37 @@ class _Prover:
             return True
         if isinstance(concl, (Forall, Impl)):
             return self.solve(self._intro(goal, concl), depth)
+        key = self._failure_key(goal, concl)
+        if key is None:
+            return self._search(goal, concl, depth)
+        failed = _AUTO_FAIL.data.get(key)
+        if failed is not None and depth <= failed:
+            _AUTO_FAIL.hits += 1
+            return False
+        _AUTO_FAIL.misses += 1
+        if self._search(goal, concl, depth):
+            return True
+        # Any entry a recursive call made for this goal is shallower.
+        _AUTO_FAIL.put(key, depth)
+        return False
+
+    def _failure_key(self, goal: Goal, concl: Term) -> Optional[tuple]:
+        """The failure memo's key for ``goal``, or None when the memo is
+        off, out of scope, or the goal holds a metavariable."""
+        if self.scope is None or metas_of(concl) or not _cache.enabled():
+            return None
+        decls = []
+        for decl in goal.decls:
+            if isinstance(decl, HypDecl):
+                prop = self.store.resolve(decl.prop)
+                if metas_of(prop):
+                    return None
+                if prop is not decl.prop:
+                    decl = HypDecl(decl.name, prop)
+            decls.append(decl)
+        return (self.scope, tuple(decls), concl)
+
+    def _search(self, goal: Goal, concl: Term, depth: int) -> bool:
         head = rigid_head(concl, self.env)
         if self._by_assumption(goal, concl, head):
             return True

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.errors import ParseError
+from repro.kernel.cache import BoundedCache
 from repro.kernel.parser import Lexer, TermParser
 from repro.kernel.terms import Term
 from repro.tactics import ast
@@ -347,8 +348,30 @@ class _TacticParser:
         return ast.Lia(legacy_name=True)
 
 
+# Each tactic text parsed so far: its frozen node, or the (message,
+# position) of its ParseError.  A search checks the same few candidate
+# texts at many states, and the parse is a pure function of the text.
+_PARSED = BoundedCache("tactic_parse", 4_096, register=False)
+
+
 def parse_tactic(text: str) -> TacticNode:
-    """Parse one tactic sentence (without its trailing period)."""
+    """Parse one tactic sentence (without its trailing period).
+
+    Memoized by the text; a text that failed raises an equal
+    :class:`~repro.errors.ParseError` (same message and position)."""
+    parsed = _PARSED.get(text)
+    if parsed is None:
+        try:
+            parsed = _parse_tactic(text)
+        except ParseError as exc:
+            parsed = (str(exc), exc.position)
+        _PARSED.put(text, parsed)
+    if isinstance(parsed, tuple):
+        raise ParseError(*parsed)
+    return parsed
+
+
+def _parse_tactic(text: str) -> TacticNode:
     text = text.strip()
     if text.endswith("."):
         text = text[:-1]

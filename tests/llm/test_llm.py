@@ -6,6 +6,7 @@ import pytest
 
 from repro.corpus.splits import make_splits
 from repro.errors import GenerationError
+from repro.kernel.cache import BoundedCache
 from repro.kernel.goals import initial_state
 from repro.llm import PROFILES, WholeProofModel, available_models, get_model
 from repro.llm import promptview
@@ -130,12 +131,17 @@ class TestPromptView:
     def test_context_cache_is_bounded(self):
         for i in range(100):
             promptview._parse_context(f"Lemma l{i} : {i} = {i}.\n")
-        assert len(promptview._CONTEXT_CACHE) <= 65
+        assert len(promptview._CONTEXTS.data) <= 64
 
     def test_vanilla_view_gets_no_hint_proof(self, prompt_for, monkeypatch):
-        """Lemma views share their statement's parse, never the view."""
-        monkeypatch.setattr(promptview, "_CONTEXT_CACHE", {})
-        monkeypatch.setattr(promptview, "_STATEMENT_SHAPES", {})
+        """A view showing a proof is never the proof-less view."""
+        for name in ("_CONTEXTS", "_PARAGRAPHS", "_VIEWS"):
+            memo = getattr(promptview, name)
+            monkeypatch.setattr(
+                promptview,
+                name,
+                BoundedCache(memo.name, memo.capacity, register=False),
+            )
         hinted = parse_prompt(prompt_for("rev_involutive", hinted=True))
         vanilla = parse_prompt(prompt_for("rev_involutive"))
         shared = [

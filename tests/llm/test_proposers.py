@@ -9,9 +9,9 @@ from repro.llm.promptview import (
     PromptView,
     _binder_names,
     parse_prompt,
+    proof_steps,
 )
 from repro.llm.retrieval import (
-    _proof_steps,
     hint_head_priors,
     hint_proposals,
     retrieve,
@@ -136,7 +136,7 @@ class TestRetrieval:
 
 class TestHintMimicry:
     def test_steps_split(self):
-        steps = _proof_steps(
+        steps = proof_steps(
             "intros. simpl.\n- rewrite IHl; auto.\n- reflexivity."
         )
         assert steps[0] == "intros"

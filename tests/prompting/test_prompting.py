@@ -9,6 +9,7 @@ import repro.corpus.tokenizer as tokenizer
 import repro.prompting.truncation as truncation
 from repro.corpus.splits import make_splits
 from repro.corpus.tokenizer import count_tokens
+from repro.kernel.cache import BoundedCache
 from repro.kernel.goals import initial_state
 from repro.prompting import (
     GOAL_HEADER,
@@ -183,14 +184,18 @@ class TestTruncation:
         assert count_tokens(out) <= 75
 
 
+def _memo(capacity=16_384):
+    """An empty line-count memo, as the process starts with."""
+    return BoundedCache("line_tokens", capacity, register=False)
+
+
 class TestLineMemo:
     """``counted_lines`` reads line counts from one process-wide memo:
     exact, bounded, and shared by every builder."""
 
     def test_exact_for_every_sweep_context(self, project, monkeypatch):
         bound = 1_000
-        monkeypatch.setattr(truncation, "_LINE_TOKENS", {})
-        monkeypatch.setattr(truncation, "_LINE_TOKENS_MAX", bound)
+        monkeypatch.setattr(truncation, "_LINE_TOKENS", _memo(bound))
         splits = make_splits(project)
         for theorem in splits.test_large:
             for hints in (None, splits.hint_names):
@@ -205,13 +210,12 @@ class TestLineMemo:
                         lines, counts = counted_lines(text)
                         assert "".join(lines) == text
                         assert counts == want, theorem.name
-                        assert len(truncation._LINE_TOKENS) <= bound
+                        assert len(truncation._LINE_TOKENS.data) <= bound
 
     def test_threads_share_the_memo(self, project, monkeypatch):
         """More threads than cores, a tiny bound and frequent switches:
         every thread still reads exact counts."""
-        monkeypatch.setattr(truncation, "_LINE_TOKENS", {})
-        monkeypatch.setattr(truncation, "_LINE_TOKENS_MAX", 64)
+        monkeypatch.setattr(truncation, "_LINE_TOKENS", _memo(64))
         texts = [
             context_for(project, theorem)
             for theorem in make_splits(project).test_large[:8]
@@ -244,7 +248,7 @@ class TestLineMemo:
         assert not wrong
 
     def test_second_builder_counts_only_new_lines(self, project, monkeypatch):
-        monkeypatch.setattr(truncation, "_LINE_TOKENS", {})
+        monkeypatch.setattr(truncation, "_LINE_TOKENS", _memo())
         first = project.theorem("app_length")
         second = project.theorem("map_app")
         assert first.file == second.file
