@@ -6,7 +6,6 @@ from repro.core.mcts import MCTSConfig, MCTSSearch
 from repro.core.node import Node
 from repro.core.result import SearchResult, SearchStats, Status
 from repro.core.search import BestFirstSearch, SearchConfig
-from repro.core.transcript import Transcript
 
 __all__ = [
     "BestFirstFrontier",
@@ -21,5 +20,4 @@ __all__ = [
     "LinearSearch",
     "MCTSConfig",
     "MCTSSearch",
-    "Transcript",
 ]

@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence, Set, Tuple, Type
 
 from repro.core.node import Node
 from repro.core.result import FailureContext, SearchStats
-from repro.core.transcript import CandidateEvent, ExpansionEvent
 from repro.kernel.goals import ProofState
 from repro.llm.interface import Candidate
 from repro.serapi.checker import ProofChecker, Verdict
@@ -123,14 +122,12 @@ class Expander:
         self,
         node: Node,
         candidates: Sequence[Candidate],
-        event: Optional[ExpansionEvent] = None,
         limit: Optional[int] = None,
     ) -> Expansion:
         """Validate ``candidates`` (best first) at ``node``.
 
         Stops at the first child that completes the proof, or once
-        ``limit`` open children exist.  ``event`` (a transcript entry)
-        receives one record per validated candidate.
+        ``limit`` open children exist.
         """
         stats = self.stats
         expansion = Expansion()
@@ -141,15 +138,6 @@ class Expander:
             check = self.checker.check(
                 node.state, candidate.tactic, seen_keys=self.seen_keys
             )
-            if event is not None:
-                event.candidates.append(
-                    CandidateEvent(
-                        tactic=candidate.tactic,
-                        log_prob=candidate.log_prob,
-                        verdict=check.verdict.value,
-                        message=check.message,
-                    )
-                )
             if check.verdict is Verdict.DUPLICATE:
                 stats.duplicates += 1
                 continue

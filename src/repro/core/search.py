@@ -43,13 +43,12 @@ from repro.core.frontier import make_frontier
 from repro.core.node import Node
 from repro.core.pipeline import GenerationHandle, GenerationPipeline
 from repro.core.result import SearchResult, SearchStats, Status
-from repro.core.transcript import ExpansionEvent, Transcript
 from repro.deadline import Deadline
 from repro.errors import GenerationError
 from repro.kernel.goals import ProofState
 from repro.kernel.terms import Term
 from repro.llm.interface import TacticGenerator
-from repro.obs.trace import NULL_TRACER
+from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.serapi.checker import ProofChecker, Verdict
 
 __all__ = ["SearchConfig", "BestFirstSearch", "NO_CANDIDATES_TACTIC"]
@@ -87,19 +86,14 @@ class BestFirstSearch:
         checker: ProofChecker,
         generator: TacticGenerator,
         config: Optional[SearchConfig] = None,
-        metrics=None,
+        metrics: Metrics = NULL_METRICS,
         clock: Callable[[], float] = time.monotonic,
-        tracer=None,
     ) -> None:
-        """``metrics`` is an optional duck-typed sink (an object with
-        ``add_time(stage, seconds)``, e.g.
-        :class:`repro.eval.instrumentation.Metrics`) that receives
-        prompt-build and generation timings.  ``clock`` feeds the
+        """``metrics`` is the telemetry handle: the search, each
+        selection, each expansion, and each expansion's prompt builds
+        and generation wait are spans on it.  ``clock`` feeds the
         wall-clock stats and the per-theorem deadline (injectable for
-        timeout tests).  ``tracer`` is an optional
-        :class:`repro.obs.trace.Tracer` recording selection / expansion
-        spans; the default no-op tracer costs nothing and leaves
-        outcomes untouched."""
+        timeout tests)."""
         if not getattr(generator, "provides_log_probs", False):
             raise GenerationError(
                 f"model {generator.name} provides no log-probabilities; "
@@ -110,14 +104,12 @@ class BestFirstSearch:
         self.config = config or SearchConfig()
         self.metrics = metrics
         self.clock = clock
-        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def prove(
         self,
         theorem_name: str,
         statement: Term,
         prompt_fn: PromptFn,
-        transcript: Optional[Transcript] = None,
         initial_tactics: Sequence[str] = (),
     ) -> SearchResult:
         """Search for a proof of ``statement``.
@@ -133,7 +125,6 @@ class BestFirstSearch:
         truncates the prefix there.
         """
         config = self.config
-        tracer = self.tracer
         metrics = self.metrics
         stats = SearchStats()
         started = self.clock()
@@ -179,7 +170,7 @@ class BestFirstSearch:
 
         def finish(status: Status, tactics=None) -> SearchResult:
             stats.wall_seconds = self.clock() - started
-            if tracer.enabled:
+            if metrics.tracing:
                 search_span.set(
                     status=status.value,
                     queries=stats.queries,
@@ -209,7 +200,7 @@ class BestFirstSearch:
             for pending in reversed(reserved):
                 frontier.release(pending)
 
-        with tracer.span("search", theorem=theorem_name) as search_span:
+        with metrics.span("search", theorem=theorem_name) as search_span:
             if node is not root and node.state.is_complete():
                 return finish(Status.PROVED, node.tactics_from_root())
             while True:
@@ -229,9 +220,9 @@ class BestFirstSearch:
                     # resume/diagnostics.
                     if stats.queries >= config.fuel:
                         break
-                    with tracer.span("select") as select_span:
+                    with metrics.span("select") as select_span:
                         node = frontier.reserve()
-                        if tracer.enabled and node is not None:
+                        if metrics.tracing and node is not None:
                             select_span.set(
                                 depth=node.depth,
                                 score=round(node.cum_log_prob, 6),
@@ -249,8 +240,8 @@ class BestFirstSearch:
 
                 # Commit: expand the oldest reserved node.
                 node = reserved[0]
-                with tracer.span("expand") as expand_span:
-                    if tracer.enabled:
+                with metrics.span("expand") as expand_span:
+                    if metrics.tracing:
                         # Whitespace-collapsed so the one-line preview
                         # renders cleanly in the trace tree.
                         goal = " ".join(node.state.render().split())
@@ -267,37 +258,21 @@ class BestFirstSearch:
                         # of every reserved node, so the result() below
                         # sends all of them in one model call.
                         for pending in reserved:
-                            t0 = self.clock()
-                            with tracer.span("prompt_build"):
+                            with metrics.span("prompt_build"):
                                 prompt = prompt_fn(
                                     pending.state, pending.tactics_from_root()
                                 )
-                            if metrics is not None:
-                                metrics.add_time(
-                                    "prompt_build", self.clock() - t0
-                                )
                             sent.append(pipeline.submit(prompt, config.width))
                     reserved.popleft()
-                    t0 = self.clock()
-                    with tracer.span("generation") as generation_span:
+                    with metrics.span("generation") as generation_span:
                         candidates = sent.popleft().result()
-                        if tracer.enabled:
+                        if metrics.tracing:
                             generation_span.set(candidates=len(candidates))
-                    if metrics is not None:
-                        metrics.add_time("generation", self.clock() - t0)
                     frontier.commit(node)
                     node.expanded = True
                     stats.nodes_expanded += 1
 
-                    event = None
-                    if transcript is not None:
-                        event = ExpansionEvent(
-                            node_depth=node.depth,
-                            node_score=node.cum_log_prob,
-                            goal_preview=node.state.render()[:200],
-                        )
-                        transcript.record(event)
-                    expansion = expander.expand(node, candidates, event)
+                    expansion = expander.expand(node, candidates)
                     if expansion.proof is not None:
                         release_reserved()
                         return finish(

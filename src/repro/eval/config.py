@@ -43,8 +43,6 @@ class ExperimentConfig:
     # Repair loop (repro.repair): checker-feedback rounds allowed
     # after a failed search; 0 = single-shot (the paper's setting).
     repair_rounds: int = 0
-    fallback_model: Optional[str] = None  # degradation target when the
-    # primary's circuit breaker opens / retries are exhausted
     resilient: bool = True  # wrap models in ResilientGenerator
     # Observability (repro.obs): when True, every executed task records
     # a span tree (search/expand/tactic spans) shipped back on its

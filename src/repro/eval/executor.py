@@ -171,7 +171,7 @@ def _init_worker(config, check_proofs: bool) -> None:
     from repro.eval.runner import Runner
     from repro.testing.faults import FaultPlan
 
-    _WORKER_PLAN = FaultPlan.from_spec(getattr(config, "faults", None))
+    _WORKER_PLAN = FaultPlan.from_spec(config.faults)
     if _WORKER_PLAN is not None and _WORKER_PLAN.initfail:
         raise RuntimeError("injected worker initializer failure")
     _WORKER_RUNNER = Runner(load_project(check_proofs=check_proofs), config)
@@ -222,14 +222,10 @@ class ProcessPoolExecutor(Executor):
         self.jobs = max(1, jobs)
         self.check_proofs = check_proofs
         self.task_retries = (
-            task_retries
-            if task_retries is not None
-            else getattr(config, "task_retries", 2)
+            task_retries if task_retries is not None else config.task_retries
         )
         self.heartbeat = (
-            heartbeat
-            if heartbeat is not None
-            else getattr(config, "heartbeat", None)
+            heartbeat if heartbeat is not None else config.heartbeat
         )
 
     # ------------------------------------------------------------------

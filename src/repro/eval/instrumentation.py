@@ -1,114 +1,10 @@
-"""Per-stage timing and counters for the evaluation engine.
+"""The evaluation engine's telemetry handle.
 
-A :class:`Metrics` object is a thread-safe sink for the pipeline's
-four instrumented stages — prompt build, candidate generation, tactic
-checking, and the final Qed replay — plus arbitrary named counters
-(checker verdict histograms, store hit/miss accounting, …).
-
-The sink is threaded *by duck type* through lower layers
-(:class:`repro.serapi.checker.ProofChecker` and
-:class:`repro.core.search.BestFirstSearch` accept any object with
-``add_time``/``observe_verdict``); those modules never import this
-one, keeping the layering acyclic.
-
-Snapshots are plain JSON-able dicts, so process-pool workers can ship
-their per-task metrics back to the parent, which :meth:`Metrics.merge`\\ s
-them into the sweep-level sink.
+:class:`Metrics` lives in :mod:`repro.obs.metrics`, below every layer
+that reports through it; it is re-exported here for the evaluation
+engine's callers.
 """
 
-from __future__ import annotations
-
-import json
-import threading
-from contextlib import contextmanager
-from time import monotonic
-from typing import Dict, Optional
+from repro.obs.metrics import STAGES, Metrics
 
 __all__ = ["Metrics", "STAGES"]
-
-# The pipeline stages the engine times (in pipeline order).
-STAGES = ("prompt_build", "generation", "checking", "qed_replay")
-
-
-class Metrics:
-    """Thread-safe counters and per-stage wall-clock accumulators."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {}
-        self._stage_seconds: Dict[str, float] = {}
-        self._stage_calls: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-
-    def incr(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
-
-    def add_time(self, stage: str, seconds: float, calls: int = 1) -> None:
-        with self._lock:
-            self._stage_seconds[stage] = (
-                self._stage_seconds.get(stage, 0.0) + seconds
-            )
-            self._stage_calls[stage] = self._stage_calls.get(stage, 0) + calls
-
-    @contextmanager
-    def timer(self, stage: str):
-        started = monotonic()
-        try:
-            yield
-        finally:
-            self.add_time(stage, monotonic() - started)
-
-    def observe_verdict(self, verdict: str, elapsed: float) -> None:
-        """One checker call: histogram bucket + checking-stage time."""
-        self.incr(f"verdict.{verdict}")
-        self.add_time("checking", elapsed)
-
-    # ------------------------------------------------------------------
-    # Reading / combining
-    # ------------------------------------------------------------------
-
-    def counter(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
-
-    def verdict_histogram(self) -> Dict[str, int]:
-        prefix = "verdict."
-        with self._lock:
-            return {
-                name[len(prefix):]: count
-                for name, count in self._counters.items()
-                if name.startswith(prefix)
-            }
-
-    def snapshot(self) -> dict:
-        """A JSON-able copy: ``{"counters": …, "stages": …}``."""
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "stages": {
-                    stage: {
-                        "seconds": self._stage_seconds[stage],
-                        "calls": self._stage_calls.get(stage, 0),
-                    }
-                    for stage in self._stage_seconds
-                },
-            }
-
-    def merge(self, snapshot: Optional[dict]) -> None:
-        """Fold another sink's :meth:`snapshot` into this one."""
-        if not snapshot:
-            return
-        for name, count in snapshot.get("counters", {}).items():
-            self.incr(name, count)
-        for stage, cell in snapshot.get("stages", {}).items():
-            self.add_time(stage, cell["seconds"], cell.get("calls", 0))
-
-    def dump(self, path) -> None:
-        """Write the snapshot as JSON (next to the run store)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")

@@ -6,6 +6,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.eval.categories import CategoryCoverage
 from repro.eval.coverage import BIN_LABELS, BinCoverage
+from repro.obs.metrics import STAGES
 
 __all__ = [
     "render_figure1",
@@ -129,9 +130,10 @@ def render_coverage_at_k(
 
 
 def render_metrics(snapshot: dict, title: str = "Instrumentation") -> str:
-    """Per-stage timing + counter report from a ``Metrics`` snapshot."""
-    from repro.eval.instrumentation import STAGES
+    """Per-stage timing + counter report from a ``Metrics`` snapshot.
 
+    Stage rows carry span names, :data:`repro.obs.metrics.STAGES`
+    first in tree order; a container's seconds include its children's."""
     lines = [title, ""]
     stages = snapshot.get("stages", {})
     if stages:

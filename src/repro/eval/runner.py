@@ -15,7 +15,8 @@ Structurally this is the top of a layered execution engine:
 * :mod:`repro.eval.tasks` — immutable, content-hashed task descriptors;
 * :mod:`repro.eval.executor` — serial / thread / process backends;
 * :mod:`repro.eval.store` — append-only JSONL run store (resume);
-* :mod:`repro.eval.instrumentation` — per-stage timing + counters.
+* :mod:`repro.obs.metrics` — the telemetry handle (stage spans and
+  counters) every layer reports through.
 
 :meth:`Runner.run` plans a sweep as tasks, skips cells the run store
 already holds, dispatches the rest to the configured executor, and
@@ -24,7 +25,6 @@ rehydrates the resulting records into :class:`TheoremOutcome`\\ s.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -36,13 +36,13 @@ from repro.core import BestFirstSearch, SearchConfig, Status
 from repro.errors import ModelExhaustedError, ReproError
 from repro.eval.config import ExperimentConfig
 from repro.eval.executor import Executor, TaskResult, make_executor
-from repro.eval.instrumentation import Metrics
 from repro.eval.similarity import normalized_similarity
 from repro.eval.store import OutcomeRecord, RunStore
 from repro.eval.tasks import TheoremTask, sweep_tasks
 from repro.llm import get_model
 from repro.llm.resilient import ResilientGenerator
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.metrics import NULL_METRICS, Metrics
+from repro.obs.trace import Tracer
 from repro.prompting import PromptBuilder
 from repro.repair.engine import RepairEngine
 from repro.serapi import ProofChecker
@@ -142,7 +142,7 @@ class Runner:
         # case).  Parsed once here so a bad spec fails fast, before
         # any search runs.
         self.fault_plan: Optional[FaultPlan] = FaultPlan.from_spec(
-            getattr(self.config, "faults", None)
+            self.config.faults
         )
 
     # ------------------------------------------------------------------
@@ -170,14 +170,14 @@ class Runner:
         model,
         theorem_name: str,
         hinted: bool,
-        metrics: Optional[Metrics],
+        metrics: Metrics,
     ):
         """Apply the fault-tolerance stack to a raw generator.
 
         Inner to outer: fault injection (chaos sweeps only), then the
-        resilient retry/breaker/fallback wrapper, at every pipeline
-        depth.  Injected faults hit the wrapper exactly like a flaky
-        real endpoint would.  The wrapper is built fresh **per task**,
+        resilient retry/breaker wrapper, at every pipeline depth.
+        Injected faults hit the wrapper exactly like a flaky real
+        endpoint would.  The wrapper is built fresh **per task**,
         so breaker state can never leak between tasks and records stay
         order-independent.
         """
@@ -188,15 +188,8 @@ class Runner:
                 plan,
                 context=f"{theorem_name}|{model.name}|{int(hinted)}",
             )
-        if getattr(self.config, "resilient", True):
-            fallback_name = getattr(self.config, "fallback_model", None)
-            model = ResilientGenerator(
-                model,
-                fallback=(
-                    get_model(fallback_name) if fallback_name else None
-                ),
-                metrics=metrics,
-            )
+        if self.config.resilient:
+            model = ResilientGenerator(model, metrics=metrics)
         return model
 
     def run_theorem(
@@ -207,8 +200,7 @@ class Runner:
         reduced_dependencies: Optional[Sequence[str]] = None,
         model_override=None,
         search_config=None,
-        metrics: Optional[Metrics] = None,
-        tracer=None,
+        metrics: Metrics = NULL_METRICS,
         repair_rounds: int = 0,
         attempt_salt: str = "",
     ) -> TheoremOutcome:
@@ -222,20 +214,16 @@ class Runner:
             tactic_timeout=self.config.tactic_timeout,
             frontier=self.config.frontier,
             dedup_states=self.config.dedup_states,
-            theorem_deadline=getattr(self.config, "theorem_deadline", None),
+            theorem_deadline=self.config.theorem_deadline,
         )
         # The pipeline depth rides in from ExperimentConfig, never from
         # the task (it is outside the cache key — see eval.config).
         search_config = replace(
             search_config, pipeline_depth=self.config.pipeline_depth
         )
-        tracer = tracer if tracer is not None else NULL_TRACER
         env = self.project.env_for(theorem)
         checker = ProofChecker(
-            env,
-            tactic_timeout=search_config.tactic_timeout,
-            metrics=metrics,
-            tracer=tracer,
+            env, tactic_timeout=search_config.tactic_timeout, metrics=metrics
         )
         builder = PromptBuilder(
             self.project,
@@ -246,15 +234,11 @@ class Runner:
             attempt_salt=attempt_salt,
         )
         search = BestFirstSearch(
-            checker, model, search_config, metrics=metrics, tracer=tracer
+            checker, model, search_config, metrics=metrics
         )
         if repair_rounds > 0:
             engine = RepairEngine(
-                search,
-                builder,
-                repair_rounds,
-                metrics=metrics,
-                tracer=tracer,
+                search, builder, repair_rounds, metrics=metrics
             )
             result = engine.prove(theorem.name, theorem.statement)
         else:
@@ -277,18 +261,15 @@ class Runner:
         if result.proved:
             proof_text = result.proof_text()
             outcome.generated_proof = proof_text
-            started = time.monotonic()
-            with tracer.span("qed_replay") as replay_span:
+            with metrics.span("qed_replay") as replay_span:
                 try:
                     # Qed: replay the full script from scratch.
                     run_script(env, theorem.statement, proof_text)
                     outcome.revalidated = True
                 except ReproError:
                     outcome.revalidated = False
-                if tracer.enabled:
+                if metrics.tracing:
                     replay_span.set(revalidated=outcome.revalidated)
-            if metrics is not None:
-                metrics.add_time("qed_replay", time.monotonic() - started)
             outcome.similarity = normalized_similarity(
                 proof_text, theorem.proof_text
             )
@@ -308,13 +289,15 @@ class Runner:
         micro-batcher); the fault-tolerance stack still wraps it per
         task.
 
-        Tracing: an explicit ``tracer`` (the prover service passes its
-        per-job one) is used as-is; otherwise, when
-        ``ExperimentConfig.trace`` is set, the task records into a
-        fresh tracer whose spans ride back on ``TaskResult.trace`` —
-        this is how process workers ship trace data to the sweep
-        parent.  With neither, the no-op tracer runs and the result is
-        byte-identical to an untraced execution.
+        Telemetry: the task reports through one fresh
+        :class:`~repro.obs.metrics.Metrics` handle, whose snapshot rides
+        back on ``TaskResult.metrics``.  An explicit ``tracer`` (the
+        prover service passes its per-job one) is attached to that
+        handle; otherwise, when ``ExperimentConfig.trace`` is set, the
+        task records into a fresh tracer whose spans ride back on
+        ``TaskResult.trace`` — this is how process workers ship trace
+        data to the sweep parent.  With neither, no span tree is built
+        and the result is byte-identical to a traced execution.
 
         Kernel memo caches are cleared on entry (bounding their
         lifetime to one theorem search) and their hit/miss deltas ride
@@ -328,16 +311,15 @@ class Runner:
         from repro.kernel import cache as kernel_cache
 
         own_tracer: Optional[Tracer] = None
-        if tracer is None and getattr(self.config, "trace", False):
+        if tracer is None and self.config.trace:
             own_tracer = Tracer(trace_id=task.cache_key()[:16])
             tracer = own_tracer
-        tr = tracer if tracer is not None else NULL_TRACER
+        metrics = Metrics(tracer)
 
         kernel_cache.clear_caches()
         with kernel_cache.pinned():
             cache_before = kernel_cache.cache_stats()
-            metrics = Metrics()
-            with tr.span(
+            with metrics.span(
                 "task",
                 theorem=task.theorem,
                 model=task.model,
@@ -352,7 +334,6 @@ class Runner:
                         model_override=model_override,
                         search_config=task.search_config(),
                         metrics=metrics,
-                        tracer=tracer,
                         repair_rounds=task.repair_rounds,
                         attempt_salt=task.sample_salt(),
                     )
@@ -372,7 +353,7 @@ class Runner:
                         queries=0,
                     )
                 delta = kernel_cache.stats_delta(cache_before)
-                if tr.enabled:
+                if metrics.tracing:
                     task_span.set(
                         status=record.status,
                         queries=record.queries,

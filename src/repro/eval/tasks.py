@@ -100,8 +100,8 @@ class TheoremTask:
                 if reduced_dependencies is not None
                 else None
             ),
-            theorem_deadline=getattr(config, "theorem_deadline", None),
-            repair_rounds=getattr(config, "repair_rounds", 0),
+            theorem_deadline=config.theorem_deadline,
+            repair_rounds=config.repair_rounds,
         )
 
     def sample_salt(self) -> str:

@@ -16,6 +16,7 @@ alternative expansions of one state coexist.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import KernelError
@@ -288,6 +289,13 @@ class ProofState:
         return hash(tuple(goal.fingerprint(self.store) for goal in self.goals))
 
     def render(self) -> str:
+        return self._display
+
+    @cached_property
+    def _display(self) -> str:
+        # Once per state, whoever asks first (the prompt, a failure
+        # context, a trace's goal preview): the state never changes,
+        # and a second render would only add kernel-cache traffic.
         if not self.goals:
             return "No more goals."
         blocks = []

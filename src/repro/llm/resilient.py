@@ -21,10 +21,9 @@ needs, without the engine knowing anything changed:
 
 The clock and sleep functions are injectable, so every timing path is
 unit-testable with a fake clock and **no real sleeps**.  All activity
-is surfaced as metrics counters (``llm.retries``,
-``llm.breaker_opens``, ``llm.fallback_queries``, …) through the
-duck-typed sink used by the rest of the pipeline
-(:class:`repro.eval.instrumentation.Metrics`).
+is surfaced as counters (``llm.retries``, ``llm.breaker_opens``,
+``llm.fallback_queries``, …) on the telemetry handle the rest of the
+pipeline reports through (:class:`repro.obs.metrics.Metrics`).
 
 Determinism note: the wrapper never alters a successful response, so
 a run whose faults are all transient produces bit-identical candidates
@@ -53,6 +52,7 @@ from repro.llm.interface import (
     TacticGenerator,
     generate_batch,
 )
+from repro.obs.metrics import NULL_METRICS, Metrics
 
 __all__ = ["RetryPolicy", "ResilientGenerator", "stable_jitter"]
 
@@ -139,7 +139,7 @@ class ResilientGenerator:
         policy: Optional[RetryPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        metrics=None,
+        metrics: Metrics = NULL_METRICS,
     ) -> None:
         self.primary = primary
         self.fallback = fallback
@@ -183,12 +183,12 @@ class ResilientGenerator:
     def _trip_locked(self) -> None:
         self._open_until = self.clock() + self.policy.breaker_cooldown
         self._half_open = False
-        self._incr("llm.breaker_opens")
+        self.metrics.incr("llm.breaker_opens")
 
     def _note_failure(self) -> None:
         with self._breaker_lock:
             self._consecutive_failures += 1
-            self._incr("llm.primary_failures")
+            self.metrics.incr("llm.primary_failures")
             if (
                 self._half_open
                 or self._consecutive_failures
@@ -201,10 +201,6 @@ class ResilientGenerator:
             self._consecutive_failures = 0
             self._half_open = False
 
-    def _incr(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.incr(name)
-
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
@@ -215,7 +211,7 @@ class ResilientGenerator:
         last_error: Optional[TransientModelError] = None
         for attempt in range(self.policy.max_attempts):
             if attempt:
-                self._incr("llm.retries")
+                self.metrics.incr("llm.retries")
                 assert last_error is not None
                 self.sleep(
                     self.policy.delay_for(
@@ -284,7 +280,7 @@ class ResilientGenerator:
         last_error: Optional[Exception],
     ) -> List[Candidate]:
         if self.fallback is not None:
-            self._incr("llm.fallback_queries")
+            self.metrics.incr("llm.fallback_queries")
             return self.fallback.generate(prompt, k)
         if last_error is not None:
             raise ModelExhaustedError(

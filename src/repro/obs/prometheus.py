@@ -1,8 +1,8 @@
 """Prometheus text-format exposition for the service ``/metrics``.
 
-Renders the evaluation layer's :class:`~repro.eval.instrumentation.Metrics`
-snapshot plus the service gauges (queue depth, in-flight jobs, batcher
-and proof-cache statistics) in the Prometheus *text exposition format*
+Renders a :class:`~repro.obs.metrics.Metrics` snapshot plus the service
+gauges (queue depth, in-flight jobs, batcher and proof-cache
+statistics) in the Prometheus *text exposition format*
 (version 0.0.4) — the format every scrape-based monitoring stack
 ingests, unlike the bespoke JSON blob the route also serves.
 

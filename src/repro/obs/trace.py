@@ -1,10 +1,10 @@
 """Structured tracing: span trees for whole proof searches.
 
-The aggregate :class:`~repro.eval.instrumentation.Metrics` counters
-answer *how much* — total generation seconds, verdict histograms — but
-not *what each search actually did*: which goals were expanded in what
-order, why candidates were rejected, where the fuel and the wall-clock
-went.  The paper's failure-mode analyses (Table 2, Figure 2) need that
+The stage aggregates of :class:`~repro.obs.metrics.Metrics` answer
+*how much* — total generation seconds, verdict counts — but not *what
+each search actually did*: which goals were expanded in what order,
+why candidates were rejected, where the fuel and the wall-clock went.
+The paper's failure-mode analyses (Table 2, Figure 2) need that
 per-attempt story, so this module records it as a **span tree**:
 
 * a :class:`Tracer` mints one *trace* (one proof attempt, one service
@@ -20,16 +20,12 @@ per-attempt story, so this module records it as a **span tree**:
   lock, so concurrent service jobs can share one trace file without
   tearing lines.  ``repro trace FILE`` renders it (:mod:`.render`).
 
-**The no-op default.**  Tracing must be observationally free when off:
-eval stores stay byte-identical, and the search hot loop must not pay
-for rendering goal previews nobody asked for.  Every traced layer
-therefore defaults to :data:`NULL_TRACER`, whose ``span()`` returns a
-shared singleton without allocating, and guards any *expensive
-attribute computation* (goal rendering, message truncation) behind
-``tracer.enabled``.  This module imports nothing from the rest of
-``repro`` — it sits below every layer that uses it, keeping the
-dependency graph acyclic (same discipline as the duck-typed metrics
-sink).
+Layers never open tracer spans themselves: they call
+``metrics.span(name, **attrs)`` on their one telemetry handle, which
+times the stage and, only when a tracer is attached, opens the span
+here (:mod:`repro.obs.metrics`).  This module imports nothing from the
+rest of ``repro`` — it sits below every layer that uses it, keeping
+the dependency graph acyclic.
 """
 
 from __future__ import annotations
@@ -44,8 +40,6 @@ from typing import Callable, Dict, Iterable, List, Optional
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "JsonlSink",
     "load_spans",
 ]
@@ -110,44 +104,6 @@ class Span:
         }
 
 
-class _NullSpan:
-    """The shared do-nothing span (no allocation per call)."""
-
-    __slots__ = ()
-
-    def set(self, **attrs: object) -> "_NullSpan":
-        return self
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-class NullTracer:
-    """The zero-overhead default: every span is the shared no-op.
-
-    ``enabled`` is the guard traced code checks before computing
-    expensive span attributes (goal previews and the like)."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def span(self, name: str, **attrs: object) -> _NullSpan:
-        return _NULL_SPAN
-
-    def export(self) -> List[dict]:
-        return []
-
-
-_NULL_SPAN = _NullSpan()
-
-#: The module-wide no-op tracer every traced layer defaults to.
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
     """Records one trace (a span tree) against a monotonic clock.
 
@@ -156,8 +112,6 @@ class Tracer:
     from one thread).  The lock only guards the finished-span list so
     :meth:`export` may be called from another thread afterwards.
     """
-
-    enabled = True
 
     def __init__(
         self,

@@ -25,9 +25,9 @@ deadline the retry cap alone bounds the loop (the paper's unbounded
 setting).
 
 Observability: each round runs inside a ``repair_round`` span, and
-the metrics sink collects ``repair.rounds`` / ``repair.succeeded`` /
-``repair.exhausted`` / ``repair.ineligible`` counters, exported by
-the service as ``repro_repair_*_total``.
+the telemetry handle collects the ``repair.rounds``,
+``repair.succeeded``, ``repair.exhausted`` and ``repair.ineligible``
+counters, exported by the service as ``repro_repair_*_total``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.core.result import FailureContext, SearchResult, Status
 from repro.core.search import BestFirstSearch
 from repro.deadline import Deadline
 from repro.kernel.terms import Term
-from repro.obs.trace import NULL_TRACER
+from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.repair.prompts import feedback_block
 
 __all__ = ["RepairEngine", "NEAR_MISS_DEPTH", "repairable"]
@@ -86,8 +86,7 @@ class RepairEngine:
         search: BestFirstSearch,
         builder,
         rounds: int,
-        metrics=None,
-        tracer=None,
+        metrics: Metrics = NULL_METRICS,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if rounds < 0:
@@ -96,12 +95,7 @@ class RepairEngine:
         self.builder = builder
         self.rounds = rounds
         self.metrics = metrics
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.clock = clock
-
-    def _incr(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.incr(name)
 
     def _round_search(self, remaining: Optional[float]) -> BestFirstSearch:
         """A searcher for one repair round (same stack, fresh budget)."""
@@ -115,7 +109,6 @@ class RepairEngine:
             config,
             metrics=base.metrics,
             clock=base.clock,
-            tracer=base.tracer,
         )
 
     def prove(self, theorem_name: str, statement: Term) -> SearchResult:
@@ -136,11 +129,11 @@ class RepairEngine:
         refused: List[str] = []
         failure: Optional[FailureContext] = result.failure
         attempts = 1
-        tracer = self.tracer
+        metrics = self.metrics
         for round_index in range(1, self.rounds + 1):
             if not repairable(result):
                 if result.status in _RETRYABLE:
-                    self._incr("repair.ineligible")
+                    metrics.incr("repair.ineligible")
                 break
             remaining = deadline.remaining() if deadline is not None else None
             if remaining is not None and remaining <= 0.0:
@@ -150,9 +143,9 @@ class RepairEngine:
             block = feedback_block(failure, round_index, refused)
             refused.append(failure.failed_tactic)
             round_builder = replace(self.builder, feedback=block)
-            self._incr("repair.rounds")
+            metrics.incr("repair.rounds")
             attempts += 1
-            with tracer.span(
+            with metrics.span(
                 "repair_round",
                 round=round_index,
                 depth=failure.depth,
@@ -165,11 +158,11 @@ class RepairEngine:
                     round_builder.build,
                     initial_tactics=failure.prefix,
                 )
-                if tracer.enabled:
+                if metrics.tracing:
                     round_span.set(status=round_result.status.value)
             _merge_stats(total_stats, round_result.stats)
             if round_result.status is Status.PROVED:
-                self._incr("repair.succeeded")
+                metrics.incr("repair.succeeded")
                 return SearchResult(
                     status=Status.REPAIRED,
                     theorem_name=theorem_name,
@@ -185,7 +178,7 @@ class RepairEngine:
             if result.failure is None:
                 result.failure = failure
         else:
-            self._incr("repair.exhausted")
+            metrics.incr("repair.exhausted")
         return SearchResult(
             status=result.status,
             theorem_name=theorem_name,

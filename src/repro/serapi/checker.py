@@ -24,7 +24,7 @@ from repro.kernel.env import Environment
 from repro.kernel.goals import ProofState, initial_state
 from repro.kernel.parser import parse_statement
 from repro.kernel.terms import Term
-from repro.obs.trace import NULL_TRACER
+from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.tactics.base import run_tactic
 from repro.tactics.parse import parse_tactic
 
@@ -59,15 +59,13 @@ class ProofChecker:
         self,
         env: Environment,
         tactic_timeout: float = DEFAULT_TACTIC_TIMEOUT,
-        metrics=None,
+        metrics: Metrics = NULL_METRICS,
         state_keys: str = "fingerprint",
         clock: Callable[[], float] = time.monotonic,
-        tracer=None,
     ) -> None:
-        """``metrics`` is an optional duck-typed sink (an object with
-        ``observe_verdict(verdict, elapsed)``, e.g.
-        :class:`repro.eval.instrumentation.Metrics`) fed one
-        observation per :meth:`check` call.
+        """``metrics`` is the telemetry handle: every :meth:`check`
+        call is one ``tactic`` span (when traced, with the candidate
+        text, verdict and message) and one ``verdict.<v>`` count.
 
         ``state_keys`` selects the duplicate-detection key:
         ``"fingerprint"`` (default) uses the O(1) structural hash,
@@ -77,12 +75,7 @@ class ProofChecker:
 
         ``clock`` is the monotonic time source used for the per-tactic
         :class:`~repro.deadline.Deadline` and ``elapsed`` accounting —
-        injectable so timeout paths are testable without real stalls.
-
-        ``tracer`` is an optional :class:`repro.obs.trace.Tracer`; when
-        given, every :meth:`check` call records a ``tactic`` span with
-        the candidate text, verdict, and message.  The default no-op
-        tracer makes tracing observationally free when off."""
+        injectable so timeout paths are testable without real stalls."""
         if state_keys not in ("fingerprint", "string"):
             raise ValueError(f"unknown state_keys mode: {state_keys!r}")
         self.env = env
@@ -90,7 +83,6 @@ class ProofChecker:
         self.metrics = metrics
         self.state_keys = state_keys
         self.clock = clock
-        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def start(self, statement: Term) -> ProofState:
         return initial_state(self.env, statement)
@@ -138,17 +130,16 @@ class ProofChecker:
         search tree; reaching one of them makes the tactic invalid
         (the paper's duplicate-state rule).
         """
-        tracer = self.tracer
-        with tracer.span("tactic") as span:
+        metrics = self.metrics
+        with metrics.span("tactic") as span:
             result = self._check(state, tactic_text, seen_keys)
-            if tracer.enabled:
+            if metrics.tracing:
                 span.set(
                     tactic=tactic_text,
                     verdict=result.verdict.value,
                     message=result.message[:120],
                 )
-        if self.metrics is not None:
-            self.metrics.observe_verdict(result.verdict.value, result.elapsed)
+        metrics.incr(f"verdict.{result.verdict.value}")
         return result
 
     def _check(
@@ -168,8 +159,7 @@ class ProofChecker:
             node = parse_tactic(tactic_text)
         except ParseError as exc:
             # Parse time counts too: a checker spends real wall-clock
-            # rejecting malformed candidates, and instrumentation
-            # would under-count checking time with elapsed=0 here.
+            # rejecting malformed candidates.
             return CheckResult(
                 Verdict.REJECTED,
                 message=f"parse: {exc}",

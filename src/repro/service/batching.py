@@ -42,6 +42,7 @@ from repro.llm.interface import (
     TacticGenerator,
     generate_batch,
 )
+from repro.obs.metrics import NULL_METRICS, Metrics
 
 __all__ = ["BatchingGenerator"]
 
@@ -73,7 +74,7 @@ class BatchingGenerator:
         self,
         inner: TacticGenerator,
         max_batch_size: int = 8,
-        metrics=None,
+        metrics: Metrics = NULL_METRICS,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -144,8 +145,8 @@ class BatchingGenerator:
     def _send(self, batch: List[_Pending]) -> None:
         """Send ``batch``, answer every element, then wake the waiters."""
         try:
-            self._incr("service.batch.dispatches")
-            self._incr("service.batch.queries", len(batch))
+            self.metrics.incr("service.batch.dispatches")
+            self.metrics.incr("service.batch.queries", len(batch))
             try:
                 results = generate_batch(
                     self.inner, [(p.prompt, p.k) for p in batch]
@@ -161,7 +162,7 @@ class BatchingGenerator:
                 # succeeds or fails on its own (the solo path is the
                 # determinism reference, so results are unchanged for
                 # the survivors).
-                self._incr("service.batch.fallbacks")
+                self.metrics.incr("service.batch.fallbacks")
                 for pending in batch:
                     try:
                         pending.result = self.inner.generate(
@@ -193,10 +194,6 @@ class BatchingGenerator:
         """Refuse new calls; calls already queued are still answered."""
         with self._cond:
             self._closed = True
-
-    def _incr(self, name: str, n: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.incr(name, n)
 
     def stats(self) -> dict:
         """Dispatch statistics for ``/metrics``."""

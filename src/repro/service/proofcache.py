@@ -36,6 +36,7 @@ from typing import Callable, Dict, Optional, Tuple, TypeVar
 from repro.eval.store import OutcomeRecord, RunStore
 from repro.eval.tasks import TheoremTask
 from repro.kernel.cache import BoundedCache
+from repro.obs.metrics import NULL_METRICS, Metrics
 
 __all__ = ["ProofCache", "DEFAULT_MEMORY_CAPACITY"]
 
@@ -53,7 +54,7 @@ class ProofCache:
     def __init__(
         self,
         path=None,
-        metrics=None,
+        metrics: Metrics = NULL_METRICS,
         memory_capacity: int = DEFAULT_MEMORY_CAPACITY,
     ) -> None:
         self.store: Optional[RunStore] = (
@@ -80,13 +81,13 @@ class ProofCache:
     def get(self, key: str) -> Optional[OutcomeRecord]:
         """The cached record for ``key``, or None."""
         if self.store is not None and key in self.store:
-            self._incr("service.cache.hits")
+            self.metrics.incr("service.cache.hits")
             return self.store.get(key)
         record = self._memory.get(key)
         if record is not None:
-            self._incr("service.cache.hits")
+            self.metrics.incr("service.cache.hits")
             return record
-        self._incr("service.cache.misses")
+        self.metrics.incr("service.cache.misses")
         return None
 
     def __contains__(self, key: str) -> bool:
@@ -103,7 +104,7 @@ class ProofCache:
             before = self._memory.evictions
             self._memory.put(task.cache_key(), record)
             if self._memory.evictions > before:
-                self._incr("service.cache.evictions")
+                self.metrics.incr("service.cache.evictions")
 
     # ------------------------------------------------------------------
     # Single-flight admission
@@ -125,7 +126,7 @@ class ProofCache:
         with self._lock:
             existing = self._inflight.get(key)
             if existing is not None:
-                self._incr("service.singleflight.hits")
+                self.metrics.incr("service.singleflight.hits")
                 return existing, False  # type: ignore[return-value]
             entry = factory()
             self._inflight[key] = entry
@@ -168,7 +169,3 @@ class ProofCache:
             stats["capacity"] = self._memory.capacity
             stats["evictions"] = self._memory.evictions
         return stats
-
-    def _incr(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.incr(name)

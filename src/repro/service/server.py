@@ -60,10 +60,10 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.errors import CorpusError, GenerationError
 from repro.eval.config import ExperimentConfig
-from repro.eval.instrumentation import Metrics
 from repro.eval.runner import Runner
 from repro.eval.tasks import CACHE_KEY_VERSION, TheoremTask, task_from_json
 from repro.llm import get_model
+from repro.obs.metrics import Metrics
 from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import JsonlSink, Tracer
 from repro.service.batching import BatchingGenerator
@@ -493,18 +493,21 @@ class ProverService(Frontend):
     def _execute(self, job):
         task = job.task
         generator = self.generator_for(task.model)
-        tracer = None
-        if self.trace_sink is not None:
-            # One trace per executed job, rooted at a "job" span so the
-            # rendered tree shows queueing context above the search.
-            tracer = Tracer(trace_id=job.key[:16])
-            with tracer.span("job", theorem=task.theorem, model=task.model):
-                result = self.runner.execute_task(
-                    task, model_override=generator, tracer=tracer
-                )
+        # Traced, one trace per executed job, rooted at a "job" span so
+        # the rendered tree shows queueing context above the search.
+        tracer = (
+            Tracer(trace_id=job.key[:16])
+            if self.trace_sink is not None
+            else None
+        )
+        job_metrics = Metrics(tracer)
+        with job_metrics.span("job", theorem=task.theorem, model=task.model):
+            result = self.runner.execute_task(
+                task, model_override=generator, tracer=tracer
+            )
+        if tracer is not None:
             self.trace_sink.write(tracer.export())
-        else:
-            result = self.runner.execute_task(task, model_override=generator)
+        self.metrics.merge(job_metrics.snapshot())
         self.metrics.merge(result.metrics)
         return result
 

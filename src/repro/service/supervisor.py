@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.llm.resilient import stable_jitter
+from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.service.client import ProverClient
 from repro.service.server import (
     ProverService,
@@ -155,7 +156,9 @@ class _Worker:
 class Supervisor:
     """Boots, probes, restarts, and drains the worker fleet."""
 
-    def __init__(self, specs: List[WorkerSpec], metrics=None) -> None:
+    def __init__(
+        self, specs: List[WorkerSpec], metrics: Metrics = NULL_METRICS
+    ) -> None:
         self.metrics = metrics
         self._workers = [_Worker(spec) for spec in specs]
         self._lock = threading.RLock()
@@ -305,13 +308,13 @@ class Supervisor:
                 0, worker.spec.index, worker.restarts
             )
             worker.restart_at = now + delay
-        self._incr("cluster.worker_deaths")
+        self.metrics.incr("cluster.worker_deaths")
 
     def _restart(self, worker: _Worker) -> None:
         with self._lock:
             worker.restarts += 1
             self.restarts_total += 1
-        self._incr("cluster.worker_restarts")
+        self.metrics.incr("cluster.worker_restarts")
         try:
             self._boot(worker)
         except Exception:  # noqa: BLE001 - reschedule with more backoff
@@ -322,7 +325,7 @@ class Supervisor:
         worker.failures += 1
         if worker.failures >= BREAKER_THRESHOLD:
             if worker.state == WorkerState.HEALTHY:
-                self._incr("cluster.breaker_opens")
+                self.metrics.incr("cluster.breaker_opens")
             worker.state = WorkerState.SUSPECT
             worker.suspect_until = time.monotonic() + BREAKER_COOLDOWN_S
 
@@ -410,7 +413,3 @@ class Supervisor:
                     for w in self._workers
                 },
             }
-
-    def _incr(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.incr(name)

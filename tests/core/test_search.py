@@ -11,15 +11,15 @@ from repro.core import (
     SearchResult,
     SearchStats,
     Status,
-    Transcript,
     make_frontier,
 )
 from repro.core.expand import Expander
 from repro.core.frontier import BestFirstFrontier
-from repro.core.transcript import ExpansionEvent
 from repro.errors import ReproError
 from repro.kernel.goals import initial_state
 from repro.llm import Candidate, get_model
+from repro.obs.metrics import NULL_METRICS, Metrics
+from repro.obs.trace import Tracer
 from repro.prompting import PromptBuilder
 from repro.serapi import ProofChecker
 from repro.tactics.script import run_script
@@ -45,13 +45,39 @@ class _ScriptedModel:
         ]
 
 
-def _search_for(project, name, model, **config):
+def _search_for(project, name, model, metrics=NULL_METRICS, **config):
     theorem = project.theorem(name)
     env = project.env_for(theorem)
-    checker = ProofChecker(env)
+    checker = ProofChecker(env, metrics=metrics)
     builder = PromptBuilder(project, theorem)
-    search = BestFirstSearch(checker, model, SearchConfig(**config))
+    search = BestFirstSearch(
+        checker, model, SearchConfig(**config), metrics=metrics
+    )
     return search, theorem, builder, env
+
+
+def _expansions(spans):
+    """Each ``expand`` span's node (depth, score, goal preview) with
+    its ``tactic`` children's (text, verdict, message), in order."""
+    children = {}
+    for span in spans:
+        children.setdefault(span["parent"], []).append(span)
+
+    def attrs(span, *keys):
+        return tuple(span["attrs"][key] for key in keys)
+
+    return [
+        (
+            attrs(span, "depth", "score", "goal"),
+            [
+                attrs(kid, "tactic", "verdict", "message")
+                for kid in children.get(span["span"], [])
+                if kid["name"] == "tactic"
+            ],
+        )
+        for span in spans
+        if span["name"] == "expand"
+    ]
 
 
 class TestFrontiers:
@@ -142,16 +168,19 @@ class TestSearch:
         result = search.prove(theorem.name, theorem.statement, builder.build)
         assert result.stats.duplicates == 0
 
-    def test_transcript_records_expansions(self, project):
+    def test_trace_records_expansions(self, project):
         model = _ScriptedModel([["intros"], ["lia"]])
-        search, theorem, builder, _ = _search_for(project, "le_trans", model)
-        transcript = Transcript(theorem.name, model.name)
-        result = search.prove(
-            theorem.name, theorem.statement, builder.build, transcript
+        tracer = Tracer()
+        search, theorem, builder, _ = _search_for(
+            project, "le_trans", model, metrics=Metrics(tracer)
         )
+        result = search.prove(theorem.name, theorem.statement, builder.build)
         assert result.status is Status.PROVED
-        assert len(transcript.events) >= 1
-        assert transcript.summary()
+        expansions = _expansions(tracer.export())
+        assert [tactics for _, tactics in expansions] == [
+            [("intros", "valid", "")],
+            [("lia", "valid", "")],
+        ]
 
     def test_real_model_end_to_end(self, project):
         model = get_model("gpt-4o")
@@ -387,28 +416,33 @@ class TestPipelinedSearch:
 
     def _prove(self, project, name, depth, fuel=16, **kwargs):
         model = get_model("gpt-4o")
+        tracer = Tracer()
         search, theorem, builder, _ = _search_for(
-            project, name, model, fuel=fuel, pipeline_depth=depth, **kwargs
+            project,
+            name,
+            model,
+            metrics=Metrics(tracer),
+            fuel=fuel,
+            pipeline_depth=depth,
+            **kwargs,
         )
-        transcript = Transcript(theorem.name, model.name)
-        result = search.prove(
-            theorem.name, theorem.statement, builder.build, transcript
-        )
-        return result, transcript
+        result = search.prove(theorem.name, theorem.statement, builder.build)
+        return result, _expansions(tracer.export())
 
     def _serial_loop(self, project, name, fuel=16):
         """The paper's loop written out — pop, prompt, generate, expand —
         as the reference the pipelined executor replays at depth 1."""
         model = get_model("gpt-4o")
         theorem = project.theorem(name)
-        checker = ProofChecker(project.env_for(theorem))
+        tracer = Tracer()
+        metrics = Metrics(tracer)
+        checker = ProofChecker(project.env_for(theorem), metrics=metrics)
         builder = PromptBuilder(project, theorem)
         config = SearchConfig(fuel=fuel)
         stats = SearchStats()
         expander = Expander(checker, stats, max_depth=config.max_depth)
         frontier = make_frontier(config.frontier)
         frontier.push(expander.root(checker.start(theorem.statement)))
-        transcript = Transcript(theorem.name, model.name)
         status, tactics = Status.FUELOUT, []
         while stats.queries < config.fuel:
             node = frontier.pop()
@@ -419,11 +453,13 @@ class TestPipelinedSearch:
             stats.queries += 1
             candidates = model.generate(prompt, config.width)
             stats.nodes_expanded += 1
-            event = ExpansionEvent(
-                node.depth, node.cum_log_prob, node.state.render()[:200]
-            )
-            transcript.record(event)
-            expansion = expander.expand(node, candidates, event)
+            with metrics.span(
+                "expand",
+                depth=node.depth,
+                score=round(node.cum_log_prob, 6),
+                goal=" ".join(node.state.render().split())[:160],
+            ):
+                expansion = expander.expand(node, candidates)
             if expansion.proof is not None:
                 status = Status.PROVED
                 tactics = expansion.proof.tactics_from_root()
@@ -432,14 +468,14 @@ class TestPipelinedSearch:
                 frontier.push(child)
         failure = None if status is Status.PROVED else expander.failure
         result = SearchResult(status, theorem.name, tactics, stats, failure)
-        return result, transcript
+        return result, _expansions(tracer.export())
 
     def test_depth1_matches_serial_exactly(self, project):
         for name in ("app_nil_l", "le_trans", "rev_involutive"):
             serial, serial_t = self._serial_loop(project, name)
             piped, piped_t = self._prove(project, name, depth=1)
             assert self._result_fields(piped) == self._result_fields(serial)
-            assert piped_t.events == serial_t.events
+            assert serial_t and piped_t == serial_t
 
     def test_depth4_same_coverage(self, project):
         for name in ("app_nil_l", "le_trans", "plus_0_l"):
@@ -453,7 +489,7 @@ class TestPipelinedSearch:
         r1, t1 = self._prove(project, "rev_involutive", depth=4)
         r2, t2 = self._prove(project, "rev_involutive", depth=4)
         assert self._result_fields(r1) == self._result_fields(r2)
-        assert t1.events == t2.events
+        assert t1 == t2
 
     def test_depth4_calls_the_model_on_the_search_thread(self, project):
         # No pool and no dispatcher: a deeper pipeline costs an

@@ -119,14 +119,21 @@ class TestMakeExecutor:
 
 class TestInstrumentation:
     def test_stages_populated(self, runner, tasks, serial_records):
-        # serial_records ran through `runner`; the sweep-level sink
+        # serial_records ran through `runner`; the sweep-level handle
         # holds merged per-task stage timings and verdict counts.
         snapshot = runner.metrics.snapshot()
-        assert snapshot["stages"]["generation"]["calls"] > 0
-        assert snapshot["stages"]["prompt_build"]["calls"] > 0
-        assert snapshot["stages"]["checking"]["calls"] > 0
-        histogram = runner.metrics.verdict_histogram()
-        assert sum(histogram.values()) == snapshot["stages"]["checking"]["calls"]
+        stages = snapshot["stages"]
+        assert stages["generation"]["calls"] > 0
+        assert stages["prompt_build"]["calls"] > 0
+        assert stages["tactic"]["calls"] > 0
+        assert stages["task"]["calls"] == stages["search"]["calls"]
+        assert stages["expand"]["calls"] == stages["generation"]["calls"]
+        verdicts = sum(
+            count
+            for name, count in snapshot["counters"].items()
+            if name.startswith("verdict.")
+        )
+        assert verdicts == stages["tactic"]["calls"]
 
     def test_merge_accumulates(self):
         a = Metrics()

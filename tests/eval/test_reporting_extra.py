@@ -1,20 +1,4 @@
-"""Transcript and CLI plumbing."""
-
-import pytest
-
-from repro.core.transcript import CandidateEvent, ExpansionEvent, Transcript
-
-
-class TestTranscript:
-    def test_summary_renders(self):
-        transcript = Transcript("thm", "model")
-        event = ExpansionEvent(node_depth=0, node_score=0.0, goal_preview="g")
-        event.candidates.append(
-            CandidateEvent("intros", -0.5, "valid")
-        )
-        transcript.record(event)
-        text = transcript.summary()
-        assert "thm" in text and "intros" in text and "valid" in text
+"""CLI plumbing."""
 
 
 class TestCli:

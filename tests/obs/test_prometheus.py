@@ -54,7 +54,7 @@ def sample_text():
     metrics.incr("verdict.rejected", 4)
     metrics.incr("tasks.executed", 2)
     metrics.add_time("generation", 1.25)
-    metrics.add_time("checking", 0.5)
+    metrics.add_time("tactic", 0.5)
     return render_prometheus(
         metrics.snapshot(), service=sample_service_block()
     )

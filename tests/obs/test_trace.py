@@ -7,13 +7,7 @@ import threading
 
 import pytest
 
-from repro.obs.trace import (
-    NULL_TRACER,
-    JsonlSink,
-    NullTracer,
-    Tracer,
-    load_spans,
-)
+from repro.obs.trace import JsonlSink, Tracer, load_spans
 
 
 class FakeClock:
@@ -98,23 +92,6 @@ class TestTracer:
         spans = {s["name"]: s for s in tracer.export()}
         # The new span must parent on the root, not on the leaked inner.
         assert spans["next"]["parent"] is None
-
-    def test_enabled_flags(self):
-        assert Tracer().enabled is True
-        assert NULL_TRACER.enabled is False
-
-
-class TestNullTracer:
-    def test_span_returns_a_shared_noop(self):
-        a = NULL_TRACER.span("x", attr=1)
-        b = NULL_TRACER.span("y")
-        assert a is b  # no allocation per call
-        with a as span:
-            assert span.set(anything="goes") is span
-        assert NULL_TRACER.export() == []
-
-    def test_null_tracer_is_a_singleton_default(self):
-        assert isinstance(NULL_TRACER, NullTracer)
 
 
 class TestJsonlSink:

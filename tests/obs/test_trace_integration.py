@@ -2,11 +2,13 @@
 
 Two invariants ride on the tracer design:
 
-* **tracing off is free** — the no-op tracer must leave outcome
-  records byte-identical (the committed golden store is replayed by
-  ``tests/eval/test_golden_replay.py`` with tracing off; here we check
-  the *traced* run produces the same records, proving trace config
-  never leaks into outcomes);
+* **tracing off is free** — an untraced run times its stages but
+  builds no span tree and computes no span attribute, and tracing
+  leaves outcome records byte-identical (the committed golden store is
+  replayed by ``tests/eval/test_golden_replay.py`` with tracing off;
+  here we check the *traced* run produces the same records and the
+  same counters and stage call counts, proving trace config never
+  leaks into outcomes or into the stage table);
 * **tracing on tells the true story** — the span tree for a known
   theorem must mirror the search structure: ``task → search →
   (select/expand)*`` with ``prompt_build``/``generation``/``tactic``
@@ -15,17 +17,22 @@ Two invariants ride on the tracer design:
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import replace
 
 from repro.eval import ExperimentConfig, Runner, RunStore, SerialExecutor
 from repro.eval.tasks import TheoremTask, sweep_tasks
+from repro.kernel.goals import ProofState
+from repro.obs import trace
 from repro.obs.trace import JsonlSink, load_spans
 
 CONFIG = ExperimentConfig(max_theorems=3, fuel=16)
 
 
-def run_records(project, store_path, trace, trace_sink=None):
-    runner = Runner(project, replace(CONFIG, trace=trace))
+def run_records(project, store_path, traced, trace_sink=None):
+    """The store text and the sweep's metrics snapshot."""
+    runner = Runner(project, replace(CONFIG, trace=traced))
     theorems = runner.theorems_for("gpt-4o-mini")
     tasks = sweep_tasks(theorems, "gpt-4o-mini", False, CONFIG)
     tasks += sweep_tasks(theorems, "gpt-4o-mini", True, CONFIG)
@@ -36,20 +43,34 @@ def run_records(project, store_path, trace, trace_sink=None):
             store=store,
             trace_sink=trace_sink,
         )
-    return store_path.read_text(encoding="utf-8")
+    return store_path.read_text(encoding="utf-8"), runner.metrics.snapshot()
+
+
+def stage_calls(snapshot):
+    return {
+        stage: cell["calls"] for stage, cell in snapshot["stages"].items()
+    }
 
 
 class TestDeterminism:
     def test_traced_sweep_writes_byte_identical_records(
         self, project, tmp_path
     ):
-        plain = run_records(project, tmp_path / "plain.jsonl", trace=False)
+        plain, plain_metrics = run_records(
+            project, tmp_path / "plain.jsonl", traced=False
+        )
         sink = JsonlSink(tmp_path / "trace.jsonl")
-        traced = run_records(
-            project, tmp_path / "traced.jsonl", trace=True, trace_sink=sink
+        traced, traced_metrics = run_records(
+            project, tmp_path / "traced.jsonl", traced=True, trace_sink=sink
         )
         assert traced == plain
         assert sink.spans_written > 0
+        # The stage table does not depend on tracing either: the same
+        # counters, and one call per span in both runs.
+        assert traced_metrics["counters"] == plain_metrics["counters"]
+        assert stage_calls(traced_metrics) == stage_calls(plain_metrics)
+        spans = load_spans(tmp_path / "trace.jsonl")
+        assert len(spans) == sum(stage_calls(plain_metrics).values())
 
     def test_trace_config_is_not_part_of_the_cache_key(self):
         traced_config = replace(CONFIG, trace=True)
@@ -67,6 +88,45 @@ class TestDeterminism:
             "rev_involutive", "gpt-4o-mini", False, CONFIG
         )
         assert runner.execute_task(task).trace is None
+
+    def test_untraced_task_builds_no_span_and_renders_no_preview(
+        self, project, monkeypatch
+    ):
+        # Stage timing is always on; tracing's costs must not be: an
+        # untraced task constructs no Span and never renders a goal
+        # preview (the search's only ProofState.render calls).
+        built, previews = [], []
+        render = ProofState.render
+        search_py = os.path.join("core", "search.py")
+
+        class CountingSpan(trace.Span):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        def counting_render(state):
+            if sys._getframe(1).f_code.co_filename.endswith(search_py):
+                previews.append(state)
+            return render(state)
+
+        monkeypatch.setattr(trace, "Span", CountingSpan)
+        monkeypatch.setattr(ProofState, "render", counting_render)
+        task = TheoremTask.from_config(
+            "rev_involutive", "gpt-4o-mini", True, CONFIG
+        )
+        untraced = Runner(project, CONFIG).execute_task(task)
+        assert built == [] and previews == []
+        stages = untraced.metrics["stages"]
+        assert stages["expand"]["calls"] == untraced.record.queries
+
+        traced = Runner(project, replace(CONFIG, trace=True)).execute_task(
+            task
+        )
+        assert traced.record == untraced.record
+        assert len(built) == len(traced.trace)
+        assert len(previews) == traced.record.queries
 
 
 class TestSpanTreeShape:

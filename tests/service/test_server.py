@@ -444,9 +444,14 @@ class TestTracedJobs:
     def test_traced_record_matches_untraced(self, project, tmp_path):
         body = {"theorem": "rev_involutive", "model": "gpt-4o",
                 "fuel": FUEL}
+        def stage_calls(client):
+            stages = client.metrics()["metrics"]["stages"]
+            return {name: cell["calls"] for name, cell in stages.items()}
+
         service, httpd, client = boot(project)
         try:
             plain = client.prove_and_wait(timeout=60.0, **body)
+            plain_calls = stage_calls(client)
         finally:
             shut(service, httpd, client)
         service, httpd, client = boot(
@@ -454,9 +459,13 @@ class TestTracedJobs:
         )
         try:
             traced = client.prove_and_wait(timeout=60.0, **body)
+            traced_calls = stage_calls(client)
         finally:
             shut(service, httpd, client)
         assert traced["record"] == plain["record"]
+        # The job's stages are timed whether or not it is traced.
+        assert traced_calls == plain_calls
+        assert plain_calls["job"] == plain_calls["task"] == 1
 
 
 class TestErrorMapping:
