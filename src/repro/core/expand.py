@@ -31,7 +31,7 @@ from repro.core.node import Node
 from repro.core.result import FailureContext, SearchStats
 from repro.kernel.goals import ProofState
 from repro.llm.interface import Candidate
-from repro.serapi.checker import ProofChecker, Verdict
+from repro.serapi.checker import CheckResult, ProofChecker, Verdict
 
 __all__ = ["Expander", "Expansion", "NO_CANDIDATES_TACTIC"]
 
@@ -131,7 +131,9 @@ class Expander:
         """
         stats = self.stats
         expansion = Expansion()
-        node_fail: Optional[Tuple[str, str, str]] = None
+        # The first rejection here: its tactic and check result, whose
+        # message is formatted only if it becomes the failure frontier.
+        node_fail: Optional[Tuple[str, CheckResult]] = None
         for candidate in candidates:
             expansion.checked += 1
             stats.candidates += 1
@@ -147,11 +149,7 @@ class Expander:
                 else:
                     stats.rejected += 1
                 if node_fail is None:
-                    node_fail = (
-                        candidate.tactic,
-                        check.message,
-                        check.verdict.value,
-                    )
+                    node_fail = (candidate.tactic, check)
                 continue
             assert check.state is not None
             child = self.child(
@@ -180,20 +178,22 @@ class Expander:
             # frontier survives.
             node_fail = (
                 NO_CANDIDATES_TACTIC,
-                "model returned no usable candidates",
-                Verdict.REJECTED.value,
+                CheckResult(
+                    Verdict.REJECTED,
+                    detail="model returned no usable candidates",
+                ),
             )
         if node_fail is not None:
             rank = (node.depth, node.cum_log_prob)
             if rank > self._failure_rank:
                 self._failure_rank = rank
-                tactic, message, verdict = node_fail
+                tactic, check = node_fail
                 self.failure = FailureContext(
                     prefix=tuple(node.tactics_from_root()),
                     goal=node.state.render()[:1000],
                     depth=node.depth,
                     failed_tactic=tactic,
-                    message=message,
-                    verdict=verdict,
+                    message=check.message,
+                    verdict=check.verdict.value,
                 )
         return expansion

@@ -60,7 +60,16 @@ class TacticError(ReproError):
 
     This is the "rejected by Coq" outcome in the paper's validity
     criterion for LLM-generated tactics.
+
+    Raised with a message, or with a label and the error behind it.
+    The second form formats ``label: error`` only when ``str()`` asks
+    for it, since most rejections are never read.
     """
+
+    def __str__(self) -> str:
+        if len(self.args) == 2:
+            return f"{self.args[0]}: {self.args[1]}"
+        return super().__str__()
 
 
 class TacticTimeout(TacticError):

@@ -271,7 +271,10 @@ class ProofState:
         return self.store.resolve(term)
 
     def clone_store(self) -> "ProofState":
-        """A state whose store may be mutated without affecting siblings."""
+        """A state whose store may be mutated without affecting siblings.
+
+        The clone starts an empty trail, so marks taken on this state's
+        store do not apply to it."""
         clone = MetaStore(self.store.next_uid, dict(self.store.solutions))
         return ProofState(self.goals, clone)
 

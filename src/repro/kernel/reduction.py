@@ -242,11 +242,45 @@ def _memo_reduce(cache, compute, env, term, budget: Budget) -> Term:
 
 def whnf(env: Environment, term: Term, budget: Optional[Budget] = None) -> Term:
     """Weak-head normal form: beta + iota + delta at the head only."""
-    if budget is None:
-        budget = Budget()
+    if _stuck(env, term):
+        # What _whnf does with it, without interning the term for a
+        # memo probe.  A fresh budget's one step would poll no deadline
+        # and be dropped, so none is built.
+        if budget is not None:
+            budget.spend()
+        return term
+    return _reduce_head(env, term, Budget() if budget is None else budget)
+
+
+def _reduce_head(env: Environment, term: Term, budget: Budget) -> Term:
     if not _cache.enabled():
         return _whnf(env, term, budget)
     return _memo_reduce(_WHNF_CACHE, _whnf, env, term, budget)
+
+
+def _stuck(env: Environment, term: Term) -> bool:
+    """True when :func:`_whnf` cannot take a step on ``term``.
+
+    That is when its head is neither a ``fun`` applied to arguments,
+    nor a fixpoint constant, nor an abbreviation applied to at least
+    its parameters.  On such a term ``_whnf`` spends one step and
+    returns the term itself.
+    """
+    if term.__class__ is App:
+        head = term.fn
+        if head.__class__ is Lam:
+            return not term.args
+        nargs = len(term.args)
+    else:
+        head = term
+        nargs = 0
+    if head.__class__ is not Const:
+        return True
+    name = head.name
+    if name in env.fixpoints:
+        return False
+    abbr = env.abbreviations.get(name)
+    return abbr is None or nargs < len(abbr.params)
 
 
 def _whnf(env: Environment, term: Term, budget: Budget) -> Term:
@@ -282,7 +316,9 @@ def make_whnf(env: Environment):
     """A unary weak-head reducer bound to ``env`` (for the unifier)."""
 
     def reducer(term: Term) -> Term:
-        return whnf(env, term, Budget(2_000))
+        if _stuck(env, term):
+            return term  # as in whnf: no budget to spend
+        return _reduce_head(env, term, Budget(2_000))
 
     return reducer
 

@@ -19,7 +19,7 @@ unification-up-to-conversion in a controlled way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Container, Dict, Optional, Tuple
+from typing import Callable, Container, Dict, List, Optional, Set, Tuple
 
 from repro.errors import UnificationError
 from repro.kernel.env import Environment
@@ -43,17 +43,23 @@ from repro.kernel.terms import (
     meta_set,
 )
 
-__all__ = ["MetaStore", "unify", "match_term", "rigid_head"]
+__all__ = ["MetaStore", "unify", "match_term", "rigid_head", "spine_clash"]
 
 Reducer = Callable[[Term], Term]
 
 
 @dataclass
 class MetaStore:
-    """Allocates metavariables and records their solutions."""
+    """Allocates metavariables and records their solutions.
+
+    ``trail`` lists the solved uids in solving order, so a snapshot is
+    a mark on it rather than a copy of ``solutions``.  It takes no part
+    in equality or repr: two stores with the same counter and solutions
+    are equal whatever their histories."""
 
     next_uid: int = 0
     solutions: Dict[int, Term] = field(default_factory=dict)
+    trail: List[int] = field(default_factory=list, compare=False, repr=False)
 
     def fresh(self, hint: str = "?") -> Meta:
         meta = Meta(self.next_uid, hint)
@@ -64,6 +70,7 @@ class MetaStore:
         if uid in self.solutions:
             raise UnificationError(f"metavariable ?{uid} already solved")
         self.solutions[uid] = term
+        self.trail.append(uid)
 
     def resolve(self, term: Term) -> Term:
         """Substitute all currently known solutions into ``term``."""
@@ -72,16 +79,29 @@ class MetaStore:
     def is_solved(self, uid: int) -> bool:
         return uid in self.solutions
 
-    def snapshot(self) -> Tuple[int, Dict[int, Term]]:
-        """Capture both solutions *and* the uid counter.
+    def snapshot(self) -> Tuple[int, int]:
+        """Mark both the solutions *and* the uid counter.
 
         Restoring the counter matters for the Qed completeness check:
         metavariables allocated by failed/abandoned attempts must not
-        linger as "unresolved existentials"."""
-        return (self.next_uid, dict(self.solutions))
+        linger as "unresolved existentials".
 
-    def restore(self, snap: Tuple[int, Dict[int, Term]]) -> None:
-        self.next_uid, self.solutions = snap[0], dict(snap[1])
+        Marks are restored last-in, first-out: :meth:`restore` may be
+        given a mark only while every mark taken after it on this store
+        has been restored or dropped.  Every caller keeps this contract
+        by restoring in the ``except`` arm of the block that took the
+        mark (unify's attempt stack, ``auto``, ``apply``, ``rewrite``,
+        ``assumption``, ``fold``, ``reflexivity`` and the ``try``,
+        ``||`` and ``repeat`` combinators)."""
+        return (self.next_uid, len(self.trail))
+
+    def restore(self, snap: Tuple[int, int]) -> None:
+        """Undo every solution made since ``snap`` and reset the uid
+        counter: the store equals the one :meth:`snapshot` saw."""
+        self.next_uid, mark = snap
+        trail = self.trail
+        while len(trail) > mark:
+            del self.solutions[trail.pop()]
 
 
 def _canonical(level: int) -> str:
@@ -294,6 +314,50 @@ def rigid_head(
     if cls in _RIGID_NODES:
         return cls
     return None
+
+
+def spine_clash(
+    t1: Term, t2: Term, env: Environment, bound: Container[str] = ()
+) -> bool:
+    """True when the ``forall``/``->`` spines of ``t1`` and ``t2`` clash.
+
+    Walks both spines in step, the way the unifier does: ``forall``
+    with ``forall`` into the bodies, ``->`` with ``->`` into the
+    right-hand sides.  They clash when the walk stops at a pair where
+    one side is a product and the two rigid heads (:func:`rigid_head`)
+    differ.  The binders walked on either side count as flexible on
+    both (they become canonical names), and so do names in ``bound`` in
+    ``t1`` (binders a caller has stripped and will substitute by
+    metavariables).
+
+    When the spines clash, ``unify(t1, t2, store, make_whnf(env))``
+    always raises.  The unifier reaches the clashing pair after the
+    walked left-hand sides, with no application attempt open along a
+    pure product spine, so the clash propagates to the top just as a
+    top-level clash does, and the store is rolled back.  So a caller
+    may skip that attempt without any observable difference.
+    """
+    walked: Set[str] = set()
+    while True:
+        kind = t1.__class__
+        if kind is not t2.__class__:
+            break
+        if kind is Forall:
+            walked.add(t1.var)  # type: ignore[attr-defined]
+            walked.add(t2.var)  # type: ignore[attr-defined]
+            t1, t2 = t1.body, t2.body  # type: ignore[attr-defined]
+        elif kind is Impl:
+            t1, t2 = t1.rhs, t2.rhs  # type: ignore[attr-defined]
+        else:
+            return False
+    head1 = rigid_head(t1, env, walked.union(bound))
+    head2 = rigid_head(t2, env, walked)
+    return (
+        (head1 is Forall or head1 is Impl or head2 is Forall or head2 is Impl)
+        and head1 is not None
+        and head2 is not None
+        and head1 != head2
+    )
 
 
 def _solve_meta(meta: Meta, value: Term, store: MetaStore, depth: int) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.deadline import TIMEOUT_MESSAGE, Deadline
 from repro.errors import ParseError, ReproError, TacticError, TacticTimeout
@@ -42,14 +42,26 @@ class Verdict(enum.Enum):
 
 @dataclass
 class CheckResult:
+    """A verdict, the new state when valid, and the verdict's message.
+
+    ``detail`` is the message, or the exception whose ``str()`` is the
+    message: :attr:`message` formats it on first read, since a search
+    reads the message of few of the tactics it rejects."""
+
     verdict: Verdict
     state: Optional[ProofState] = None  # set when VALID
-    message: str = ""
-    elapsed: float = 0.0
+    detail: Union[str, Exception] = ""
 
     @property
     def ok(self) -> bool:
         return self.verdict is Verdict.VALID
+
+    @property
+    def message(self) -> str:
+        detail = self.detail
+        if not isinstance(detail, str):
+            detail = self.detail = str(detail)
+        return detail
 
 
 class ProofChecker:
@@ -74,8 +86,8 @@ class ProofChecker:
         suspected fingerprint collisions.
 
         ``clock`` is the monotonic time source used for the per-tactic
-        :class:`~repro.deadline.Deadline` and ``elapsed`` accounting —
-        injectable so timeout paths are testable without real stalls."""
+        :class:`~repro.deadline.Deadline` — injectable so timeout paths
+        are testable without real stalls."""
         if state_keys not in ("fingerprint", "string"):
             raise ValueError(f"unknown state_keys mode: {state_keys!r}")
         self.env = env
@@ -148,51 +160,32 @@ class ProofChecker:
         tactic_text: str,
         seen_keys: Optional[Set] = None,
     ) -> CheckResult:
-        started = self.clock()
         # One deadline governs the whole check: the cooperative
         # interrupt inside run_tactic (combinators, auto/lia loops,
         # reduction budgets all poll it) and the post-hoc slow-tactic
         # verdict below share this clock and expiry, so both paths
-        # agree on verdict, message, and elapsed accounting.
+        # agree on verdict and message.
         deadline = Deadline.after(self.tactic_timeout, clock=self.clock)
         try:
             node = parse_tactic(tactic_text)
         except ParseError as exc:
-            # Parse time counts too: a checker spends real wall-clock
-            # rejecting malformed candidates.
-            return CheckResult(
-                Verdict.REJECTED,
-                message=f"parse: {exc}",
-                elapsed=self.clock() - started,
-            )
+            return CheckResult(Verdict.REJECTED, detail=f"parse: {exc}")
         try:
             new_state = run_tactic(self.env, state, node, deadline=deadline)
         except TacticTimeout as exc:
-            return CheckResult(
-                Verdict.TIMEOUT,
-                message=str(exc),
-                elapsed=self.clock() - started,
-            )
+            return CheckResult(Verdict.TIMEOUT, detail=exc)
         except (TacticError, ReproError) as exc:
-            return CheckResult(
-                Verdict.REJECTED,
-                message=str(exc),
-                elapsed=self.clock() - started,
-            )
-        elapsed = self.clock() - started
+            return CheckResult(Verdict.REJECTED, detail=exc)
         if deadline.expired():
             # A tactic that ran past its budget without hitting a
             # cooperative checkpoint: same verdict and message as the
             # in-flight TacticTimeout path.
-            return CheckResult(
-                Verdict.TIMEOUT, message=TIMEOUT_MESSAGE, elapsed=elapsed
-            )
+            return CheckResult(Verdict.TIMEOUT, detail=TIMEOUT_MESSAGE)
         if seen_keys is not None:
             key = self.state_key(new_state)
             if key in seen_keys:
                 return CheckResult(
                     Verdict.DUPLICATE,
-                    message="proof state already in the search tree",
-                    elapsed=elapsed,
+                    detail="proof state already in the search tree",
                 )
-        return CheckResult(Verdict.VALID, state=new_state, elapsed=elapsed)
+        return CheckResult(Verdict.VALID, state=new_state)

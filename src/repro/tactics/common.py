@@ -20,7 +20,7 @@ from repro.kernel.terms import (
 )
 from repro.kernel.typecheck import elaborate_term, infer_type
 from repro.kernel.types import Type
-from repro.kernel.unify import MetaStore, rigid_head, unify
+from repro.kernel.unify import MetaStore, spine_clash, unify
 
 __all__ = [
     "statement_of_name",
@@ -163,17 +163,16 @@ def apply_statement(
     store = state.store
     whnf = make_whnf(env)
     goal_concl = state.resolve(goal.concl)
-    goal_head = rigid_head(goal_concl, env)
 
     # Minimal-strip-first: try to unify the statement as-is, and only
     # peel one product (or unfold one definition layer) per failure.
     # This keeps e.g. ``apply in_nil`` working on a ``~ ...`` goal (the
     # negation's premise is part of the conclusion, not an argument).
-    # A product stage cannot unify with a goal whose rigid head is not
-    # that product kind, so it is stripped untried; binders stripped
-    # since the last tried stage are substituted at the next one, in one
-    # pass.  A non-product stage and the last iteration are always
-    # tried, so ``last_error`` is the same as if every stage were.
+    # A product stage whose spine clashes with the goal's cannot unify
+    # with it (``spine_clash``), so it is stripped untried; binders
+    # stripped since the last tried stage are substituted at the next
+    # one, in one pass.  A non-product stage and the last iteration are
+    # always tried, so ``last_error`` is the same as if every stage were.
     metas: List[Meta] = []
     premises: List[Tuple[Term, Dict[str, Term]]] = []
     pending: Dict[str, Term] = {}
@@ -183,9 +182,8 @@ def apply_statement(
         kind = current.__class__
         dead = (
             (kind is Forall or kind is Impl)
-            and goal_head is not None
-            and goal_head is not kind
             and stage < 63
+            and spine_clash(current, goal_concl, env, pending)
         )
         if not dead:
             if pending:
@@ -209,10 +207,10 @@ def apply_statement(
         else:
             reduced = whnf(current)
             if reduced == current:
-                raise TacticError(f"{label}: {last_error}")
+                raise TacticError(label, last_error)
             current = reduced
     else:
-        raise TacticError(f"{label}: {last_error}")
+        raise TacticError(label, last_error)
 
     instantiated = [
         store.resolve(subst_vars(premise, scope))

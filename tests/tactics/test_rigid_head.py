@@ -1,10 +1,12 @@
-"""``auto``'s rigid-head skip: sound, and blind to flexible heads.
+"""The rigid-head skips: sound, and blind to flexible heads.
 
 ``auto`` skips a candidate whose conclusion's rigid head differs from
-the goal's (:func:`repro.kernel.unify.rigid_head`).  These tests run
-the skipped attempts anyway and check that each one fails without a
-trace, pin the successes that pass through a flexible head, and check
-that the skip really saves unifier calls.
+the goal's (:func:`repro.kernel.unify.rigid_head`), and ``apply`` skips
+a product stage whose ``forall``/``->`` spine clashes with the goal's
+(:func:`repro.kernel.unify.spine_clash`).  These tests run the skipped
+attempts anyway and check that each one fails without a trace, pin the
+successes that pass through a flexible head, and check that the skips
+really save unifier calls.
 """
 
 import pytest
@@ -19,15 +21,16 @@ from repro.kernel.terms import (
     Eq,
     FalseP,
     Forall,
+    Impl,
     Lam,
     Meta,
     Or,
     TRUE,
     Var,
 )
-from repro.kernel.unify import rigid_head
+from repro.kernel.unify import rigid_head, spine_clash
 from repro.serapi import ProofChecker
-from repro.tactics import auto_, parse_tactic
+from repro.tactics import auto_, common, parse_tactic
 from repro.tactics.base import run_tactic
 from repro.tactics.script import script_tactics
 
@@ -99,25 +102,23 @@ class TestAutoSkip:
 
         def unify(a, b, store, whnf=None):
             clash = real_clash(rigid_head(a, envs[-1]), rigid_head(b, envs[-1]))
-            before = store.snapshot()
+            before = (store.next_uid, dict(store.solutions))
             try:
                 real_unify(a, b, store, whnf)
             except UnificationError:
-                assert store.snapshot() == before
+                assert (store.next_uid, store.solutions) == before
                 dead["unify"] += clash
                 raise
             assert not clash, (str(a), str(b))
 
         def try_apply(self, goal, candidate, concl, depth):
-            before = self.store.snapshot()
+            uid, solutions = self.store.next_uid, dict(self.store.solutions)
             ok = original(self, goal, candidate, concl, depth)
             if real_clash(rigid_head(concl, self.env), candidate.head):
                 dead["attempt"] += 1
                 assert not ok
-                assert self.store.solutions == before[1]
-                assert self.store.next_uid == before[0] + len(
-                    candidate.binders
-                )
+                assert self.store.solutions == solutions
+                assert self.store.next_uid == uid + len(candidate.binders)
             return ok
 
         monkeypatch.setattr(auto_, "_clash", lambda goal_head, head: False)
@@ -206,3 +207,121 @@ class TestAutoSkip:
         finally:
             env.hint_resolve.pop()
         assert len(auto_._hint_index(env)) == len(first)
+
+
+# Probed at every step of the replays.  Before the first ``intros`` the
+# goal is itself a product, so ``apply`` walks both spines.
+_APPLY_PROBES = (
+    "apply le_trans",
+    "eapply le_trans",
+    "apply le_S",
+    "apply in_or_app",
+    "apply in_app_or",
+    "apply incl_app",
+    "apply Forall_app_l",
+    "apply firstn_oob",
+    "eapply pimpl_trans",
+    "apply H",
+    "apply H0",
+)
+
+
+class TestApplySkip:
+    def test_skipped_stages_would_fail(self, project, monkeypatch):
+        """Replay human proofs and probe ``apply``/``eapply`` at every
+        step, once with the spine skip and once with it off, as before
+        it existed.  Every stage the skip drops fails when it is run:
+        its ``unify`` raises and leaves the store as it found it.  Both
+        runs give the same verdicts, messages and states."""
+        real_spine = common.spine_clash
+        real_unify = common.unify
+        envs = []
+        skipping = [True]
+        dead = {"stage": 0, "walked": 0}
+
+        def spine(current, goal, env, bound=()):
+            return skipping[0] and real_spine(current, goal, env, bound)
+
+        def unify(a, b, store, whnf=None):
+            clash = a.__class__ in (Forall, Impl) and real_spine(
+                a, b, envs[-1]
+            )
+            assert not (clash and skipping[0]), (str(a), str(b))
+            before = (store.next_uid, dict(store.solutions))
+            try:
+                real_unify(a, b, store, whnf)
+            except UnificationError:
+                assert (store.next_uid, store.solutions) == before
+                dead["stage"] += clash
+                # The old rule skipped only a product facing another
+                # rigid head; these stages needed the walk.
+                dead["walked"] += clash and a.__class__ is b.__class__
+                raise
+            assert not clash, (str(a), str(b))
+
+        def outcome(checker, state, tactic):
+            result = checker.check(state, tactic)
+            if not result.ok:
+                return result.verdict, result.message
+            after = result.state
+            return after.render(), after.store.next_uid, after.store.solutions
+
+        monkeypatch.setattr(common, "spine_clash", spine)
+        monkeypatch.setattr(common, "unify", unify)
+        for name in _REPLAYED:
+            theorem = project.theorem(name)
+            envs.append(project.env_for(theorem))
+            checker = ProofChecker(envs[-1])
+            state = checker.start(theorem.statement)
+            for tactic in script_tactics(theorem.proof_text):
+                for probe in _APPLY_PROBES:
+                    skipping[0] = True
+                    with_skip = outcome(checker, state, probe)
+                    skipping[0] = False
+                    assert outcome(checker, state, probe) == with_skip
+                skipping[0] = True
+                result = checker.check(state, tactic)
+                assert result.ok, (name, tactic, result.message)
+                state = result.state
+            assert state.is_complete(), name
+        assert dead["stage"] > 0
+        assert dead["walked"] > 0
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # Walked in step to a product facing an equation.
+            ("forall n m : nat, n <= m -> m <= n", "forall n : nat, n = n"),
+            # Walked through premises to a product facing ``<=``.
+            ("0 = 0 -> forall n : nat, n = n", "0 = 0 -> 0 <= 0"),
+            # ``->`` facing ``forall``.
+            ("0 = 0 -> 0 = 0", "forall n : nat, n = n"),
+        ],
+    )
+    def test_clashing_spines(self, env, a, b):
+        a, b = parse_statement(env, a), parse_statement(env, b)
+        assert spine_clash(a, b, env)
+        assert spine_clash(b, a, env)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # Neither side reaches a product.
+            ("forall n : nat, n <= n", "forall n : nat, n = n"),
+            # ``lt`` is an abbreviation: its head is flexible.
+            ("forall n m : nat, n = m", "forall n : nat, n < 0"),
+            # A walked binder is flexible on both sides.
+            ("forall (P : Prop), P", "forall (Q : Prop) (n : nat), n = n"),
+        ],
+    )
+    def test_matching_spines(self, env, a, b):
+        a, b = parse_statement(env, a), parse_statement(env, b)
+        assert not spine_clash(a, b, env)
+        assert not spine_clash(b, a, env)
+
+    def test_pending_binder_is_flexible(self, env):
+        """``P`` was stripped and waits to become a metavariable."""
+        a = parse_statement(env, "forall (P : Prop) (n : nat), P").body
+        b = parse_statement(env, "forall m k : nat, k = k")
+        assert spine_clash(a, b, env)
+        assert not spine_clash(a, b, env, ("P",))

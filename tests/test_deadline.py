@@ -142,7 +142,6 @@ class TestCheckerDeadline:
         result = checker.check(state, "intros")
         assert result.verdict is Verdict.TIMEOUT
         assert result.message == TIMEOUT_MESSAGE
-        assert result.elapsed > 0.0
 
     def test_fast_tactic_unaffected(self, env):
         checker = ProofChecker(
@@ -150,14 +149,6 @@ class TestCheckerDeadline:
         )
         state = checker.start_text("forall n, n = n")
         assert checker.check(state, "intros").verdict is Verdict.VALID
-
-    def test_elapsed_uses_injected_clock(self, env):
-        clock = TickingClock(10.0)
-        checker = ProofChecker(env, tactic_timeout=5.0, clock=clock)
-        state = checker.start_text("forall n, n = n")
-        result = checker.check(state, "intros")
-        # elapsed is a whole number of ticks, not real wall-clock.
-        assert result.elapsed % 10.0 == 0.0
 
 
 class _OneTacticModel:
