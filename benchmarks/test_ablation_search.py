@@ -1,6 +1,8 @@
 """Ablations of the search design choices (DESIGN.md §8).
 
 * frontier discipline: best-first vs depth-first vs breadth-first;
+* search engine: best-first vs MCTS vs Rango-style linear, each a
+  frontier policy of the one search loop;
 * search width: 1 / 4 / 8;
 * duplicate-state pruning on/off.
 """
@@ -77,14 +79,7 @@ def test_ablation_engines(benchmark, project):
     """Best-first vs MCTS vs Rango-style linear, equal fuel (paper §5)."""
     import dataclasses
 
-    from repro.core import (
-        BestFirstSearch,
-        LinearConfig,
-        LinearSearch,
-        MCTSConfig,
-        MCTSSearch,
-        SearchConfig,
-    )
+    from repro.core import BestFirstSearch, SearchConfig
     from repro.corpus.splits import make_splits
     from repro.llm.models import SimulatedModel, get_model
     from repro.prompting import PromptBuilder
@@ -98,16 +93,8 @@ def test_ablation_engines(benchmark, project):
 
     def run():
         scores = {}
-        engines = {
-            "best-first": lambda c, m: BestFirstSearch(
-                c, m, SearchConfig(fuel=_FUEL)
-            ),
-            "mcts": lambda c, m: MCTSSearch(c, m, MCTSConfig(fuel=_FUEL)),
-            "linear": lambda c, m: LinearSearch(
-                c, m, LinearConfig(fuel=_FUEL)
-            ),
-        }
-        for name, factory in engines.items():
+        for name in ("best-first", "mcts", "linear"):
+            config = SearchConfig(fuel=_FUEL, frontier=name)
             proved = 0
             for theorem in theorems:
                 checker = ProofChecker(project.env_for(theorem))
@@ -117,7 +104,7 @@ def test_ablation_engines(benchmark, project):
                     hint_names=splits.hint_names,
                     window_tokens=model.context_window,
                 )
-                result = factory(checker, model).prove(
+                result = BestFirstSearch(checker, model, config).prove(
                     theorem.name, theorem.statement, builder.build
                 )
                 proved += result.proved

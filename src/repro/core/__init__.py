@@ -1,8 +1,6 @@
 """The paper's contribution: LLM-guided best-first proof search."""
 
 from repro.core.frontier import BestFirstFrontier, make_frontier
-from repro.core.linear import LinearConfig, LinearSearch
-from repro.core.mcts import MCTSConfig, MCTSSearch
 from repro.core.node import Node
 from repro.core.result import SearchResult, SearchStats, Status
 from repro.core.search import BestFirstSearch, SearchConfig
@@ -16,8 +14,4 @@ __all__ = [
     "Status",
     "BestFirstSearch",
     "SearchConfig",
-    "LinearConfig",
-    "LinearSearch",
-    "MCTSConfig",
-    "MCTSSearch",
 ]

@@ -1,11 +1,11 @@
-"""The expansion step every search engine shares.
+"""The expansion step every frontier policy shares.
 
 An expansion takes one node and the model's ranked candidates for it,
 validates each candidate against the checker in rank order, and grows
-the tree with the valid ones.  Best-first search
-(:mod:`repro.core.search`), MCTS (:mod:`repro.core.mcts`) and the
-Rango-style linear search (:mod:`repro.core.linear`) all expand through
-:class:`Expander`, so they share one definition of:
+the tree with the valid ones.  Every policy of the search loop
+(:mod:`repro.core.frontier`: best-first, depth-first, breadth-first,
+MCTS and linear) expands through :class:`Expander`, so they share one
+definition of:
 
 * **validity** — a tactic is invalid when the checker rejects it, when
   it recreates a proof state already in the tree (duplicate pruning,
@@ -19,13 +19,13 @@ Rango-style linear search (:mod:`repro.core.linear`) all expand through
 
 The checker call sequence is the determinism-sensitive part of a
 search; given the same node and candidates, an expansion makes the same
-checker calls in the same order whichever engine drives it.
+checker calls in the same order whichever policy drives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple, Type
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.node import Node
 from repro.core.result import FailureContext, SearchStats
@@ -81,10 +81,10 @@ class Expander:
         self.failure: Optional[FailureContext] = None
         self._failure_rank: Tuple[int, float] = (-1, 0.0)
 
-    def root(self, state: ProofState, node_type: Type[Node] = Node) -> Node:
+    def root(self, state: ProofState) -> Node:
         """The tree's root node for the initial proof state."""
         return self._admit(
-            node_type(
+            Node(
                 state=state,
                 key=self.checker.state_key(state),
                 cum_log_prob=0.0,
@@ -100,9 +100,9 @@ class Expander:
         cum_log_prob: float,
         log_prob: float = 0.0,
     ) -> Node:
-        """A new node (of the parent's type) reached by ``tactic``."""
+        """A new node reached by ``tactic``."""
         return self._admit(
-            type(parent)(
+            Node(
                 state=state,
                 key=self.checker.state_key(state),
                 cum_log_prob=cum_log_prob,

@@ -26,7 +26,6 @@ class Node:
     parent: Optional["Node"] = None
     tactic: Optional[str] = None  # tactic that produced this node
     log_prob: float = 0.0  # the model's log-probability of `tactic`
-    expanded: bool = False
 
     def tactics_from_root(self) -> List[str]:
         """The tactic sequence from the root to this node."""

@@ -1,18 +1,23 @@
-"""Best-first proof search (the paper's §3).
+"""The proof search loop (the paper's §3).
 
 The loop alternates the paper's two steps:
 
-* **Selection** — take the unexpanded node with the highest cumulative
-  log-probability of its tactic prefix.
+* **Selection** — the frontier policy named by ``SearchConfig.frontier``
+  (:mod:`repro.core.frontier`) picks the next node.  Best-first, the
+  paper's choice, takes the unexpanded node with the highest
+  cumulative log-probability of its tactic prefix; MCTS and linear
+  search are policies of this same loop.
 * **Expansion** — query the model once (one unit of fuel) for up to
-  ``width`` candidate tactics, validate each against the checker, and
-  append the valid ones as children (:mod:`repro.core.expand`).
+  ``width`` candidate tactics; the policy's ``grow`` hook validates
+  them against the checker (:mod:`repro.core.expand`) and admits the
+  valid ones as children.
 
 A tactic is invalid if it is rejected by the checker, recreates a
 proof state already in the tree, or exceeds the tactic timeout.
 Search succeeds as soon as any child state is complete; it fails
-*stuck* when the frontier empties and *fuelout* when the query limit
-(paper: 128) is exhausted.
+*stuck* when nothing is left to expand (or the policy gives up) and
+*fuelout* when the query limit (paper: 128) is exhausted.  A policy's
+ending is honoured before the fuel test.
 
 Pipelining (``SearchConfig.pipeline_depth``, default 1): up to
 ``pipeline_depth`` selected nodes are kept in flight.  Selection
@@ -28,7 +33,9 @@ to call the model — so a batching endpoint charges one round-trip for up
 to *k* queries, and no thread is started.  At depth > 1 selection is
 speculative (round *i+1* is chosen before round *i*'s children exist),
 so the *exploration order* may differ from depth 1 — coverage is pinned
-by ``tests/eval/test_pipeline_determinism.py``.
+by ``tests/eval/test_pipeline_determinism.py``.  The ``mcts`` and
+``linear`` policies reserve one node at a time, so their records are
+the same at every depth.
 """
 
 from __future__ import annotations
@@ -168,7 +175,9 @@ class BestFirstSearch:
                 break
             frontier.push(node)
 
-        def finish(status: Status, tactics=None) -> SearchResult:
+        def finish(
+            status: Status, last: Optional[Node] = None
+        ) -> SearchResult:
             stats.wall_seconds = self.clock() - started
             if metrics.tracing:
                 search_span.set(
@@ -184,7 +193,7 @@ class BestFirstSearch:
             return SearchResult(
                 status=status,
                 theorem_name=theorem_name,
-                tactics=list(tactics or []),
+                tactics=[] if last is None else last.tactics_from_root(),
                 stats=stats,
                 failure=None if status is Status.PROVED else expander.failure,
             )
@@ -202,7 +211,7 @@ class BestFirstSearch:
 
         with metrics.span("search", theorem=theorem_name) as search_span:
             if node is not root and node.state.is_complete():
-                return finish(Status.PROVED, node.tactics_from_root())
+                return finish(Status.PROVED, node)
             while True:
                 # Fill: reserve frontier nodes until the pipeline is full.
                 while len(reserved) < config.pipeline_depth:
@@ -269,14 +278,11 @@ class BestFirstSearch:
                         if metrics.tracing:
                             generation_span.set(candidates=len(candidates))
                     frontier.commit(node)
-                    node.expanded = True
                     stats.nodes_expanded += 1
 
-                    expansion = expander.expand(node, candidates)
-                    if expansion.proof is not None:
+                    # The policy admits the children; its ending (a
+                    # proof, or STUCK) is honoured before the fuel test.
+                    ending = frontier.grow(node, candidates, expander)
+                    if ending is not None:
                         release_reserved()
-                        return finish(
-                            Status.PROVED, expansion.proof.tactics_from_root()
-                        )
-                    for child in expansion.children:
-                        frontier.push(child)
+                        return finish(*ending)

@@ -1,16 +1,11 @@
-"""The alternative search engines: MCTS and Rango-style linear."""
+"""MCTS and Rango-style linear search, as frontier policies of the one
+search loop (``SearchConfig.frontier`` = ``"mcts"`` / ``"linear"``)."""
 
 import dataclasses
 
 import pytest
 
-from repro.core import (
-    LinearConfig,
-    LinearSearch,
-    MCTSConfig,
-    MCTSSearch,
-    Status,
-)
+from repro.core import BestFirstSearch, SearchConfig, Status
 from repro.errors import GenerationError
 from repro.llm import Candidate
 from repro.llm.models import SimulatedModel, get_model
@@ -48,63 +43,103 @@ def _setup(project, name, model):
     )
 
 
-@pytest.mark.parametrize("engine_cls,config", [
-    (MCTSSearch, MCTSConfig(fuel=32)),
-    (LinearSearch, LinearConfig(fuel=32)),
-])
+def _search(checker, model, kind, **config):
+    return BestFirstSearch(
+        checker, model, SearchConfig(frontier=kind, **config)
+    )
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["mcts", "linear"],
+    # Named after the engine classes these policies replaced, so each
+    # test keeps its id.
+    ids=["MCTSSearch-config0", "LinearSearch-config1"],
+)
 class TestEngines:
-    def test_scripted_proof(self, project, engine_cls, config):
+    def test_scripted_proof(self, project, kind):
         model = _ScriptedModel([["intros"], ["reflexivity", "auto"]])
         theorem, env, checker, builder = _setup(project, "plus_0_l", model)
-        result = engine_cls(checker, model, config).prove(
+        result = _search(checker, model, kind, fuel=32).prove(
             theorem.name, theorem.statement, builder.build
         )
         assert result.status is Status.PROVED
         run_script(env, theorem.statement, result.proof_text())
 
-    def test_stuck_on_garbage(self, project, engine_cls, config):
+    def test_stuck_on_garbage(self, project, kind):
         model = _ScriptedModel([["nonsense", "discriminate"]])
         theorem, env, checker, builder = _setup(project, "plus_0_l", model)
-        result = engine_cls(checker, model, config).prove(
+        result = _search(checker, model, kind, fuel=32).prove(
             theorem.name, theorem.statement, builder.build
         )
         assert result.status is Status.STUCK
 
-    def test_fuelout(self, project, engine_cls, config):
+    def test_fuelout(self, project, kind):
         model = _ScriptedModel([["assert (0 = 0)"]])
         theorem, env, checker, builder = _setup(project, "plus_comm", model)
-        small = dataclasses.replace(config, fuel=3)
-        result = engine_cls(checker, model, small).prove(
+        result = _search(checker, model, kind, fuel=3).prove(
             theorem.name, theorem.statement, builder.build
         )
         assert result.status is Status.FUELOUT
         assert result.stats.queries == 3
 
-    def test_rejects_wholeproof_model(self, project, engine_cls, config):
+    def test_rejects_wholeproof_model(self, project, kind):
         from repro.llm import WholeProofModel
 
         with pytest.raises(GenerationError):
-            engine_cls(ProofChecker(project.env), WholeProofModel(), config)
+            _search(ProofChecker(project.env), WholeProofModel(), kind)
 
-    def test_real_model_deterministic(self, project, engine_cls, config):
+    def test_real_model_deterministic(self, project, kind):
         model = SimulatedModel(
             dataclasses.replace(get_model("gpt-4o").profile, lucidity=1.0)
         )
         theorem, env, checker, builder = _setup(project, "Forall_inv", model)
-        engine = engine_cls(checker, model, config)
-        r1 = engine.prove(theorem.name, theorem.statement, builder.build)
-        r2 = engine.prove(theorem.name, theorem.statement, builder.build)
+        search = _search(checker, model, kind, fuel=32)
+        r1 = search.prove(theorem.name, theorem.statement, builder.build)
+        r2 = search.prove(theorem.name, theorem.statement, builder.build)
         assert r1.status == r2.status
         assert r1.tactics == r2.tactics
         if r1.proved:
             run_script(env, theorem.statement, r1.proof_text())
 
 
+@pytest.mark.parametrize("kind", ["mcts", "linear"])
+def test_one_node_in_flight_at_any_depth(project, kind):
+    # Both policies reserve one node at a time, so a deeper
+    # pipeline sends the same queries, one per model call.
+    model = get_model("gpt-4o")
+    batches = []
+
+    class Spy:
+        name = model.name
+        context_window = model.context_window
+        provides_log_probs = True
+
+        def generate(self, prompt, k):
+            return model.generate(prompt, k)
+
+        def generate_batch(self, requests):
+            batches.append(len(requests))
+            return model.generate_batch(requests)
+
+    theorem, _, checker, builder = _setup(project, "Forall_inv", model)
+
+    def run(depth):
+        result = _search(
+            checker, Spy(), kind, fuel=16, pipeline_depth=depth
+        ).prove(theorem.name, theorem.statement, builder.build)
+        result.stats.wall_seconds = 0.0
+        return result
+
+    assert run(4) == run(1)
+    assert batches == []
+
+
 class TestLinearBacktracking:
     def test_backtracks_to_spare_candidate(self, project):
-        # First pick leads to a dead end ("split" is invalid on an Eq
-        # goal after intros? use a path: intros then a dead assert);
-        # the spare candidate closes the proof.
+        # "assert (1 = 1)" validates first, but its node is a dead end
+        # ("fail"); backtracking validates the spare "reflexivity" at
+        # the earlier step, without a fourth model query.
         model = _ScriptedModel(
             [
                 ["intros"],
@@ -113,10 +148,11 @@ class TestLinearBacktracking:
             ]
         )
         theorem, env, checker, builder = _setup(project, "plus_0_l", model)
-        result = LinearSearch(
-            checker, model, LinearConfig(fuel=16)
-        ).prove(theorem.name, theorem.statement, builder.build)
+        result = _search(checker, model, "linear", fuel=16).prove(
+            theorem.name, theorem.statement, builder.build
+        )
         assert result.status is Status.PROVED
+        assert result.stats.queries == 3
         run_script(env, theorem.statement, result.proof_text())
 
 
@@ -126,8 +162,8 @@ class TestMCTSInternals:
             [["intros"], ["assert (0 = 0)", "assert (1 = 1)"], ["auto"]]
         )
         theorem, env, checker, builder = _setup(project, "plus_comm", model)
-        result = MCTSSearch(
-            checker, model, MCTSConfig(fuel=6)
-        ).prove(theorem.name, theorem.statement, builder.build)
+        result = _search(checker, model, "mcts", fuel=6).prove(
+            theorem.name, theorem.statement, builder.build
+        )
         assert result.stats.queries <= 6
         assert result.stats.nodes_expanded >= 2

@@ -1,4 +1,4 @@
-"""The best-first search engine."""
+"""The search loop and its frontier policies."""
 
 import threading
 
@@ -13,7 +13,7 @@ from repro.core import (
     Status,
     make_frontier,
 )
-from repro.core.expand import Expander
+from repro.core.expand import Expander, Expansion
 from repro.core.frontier import BestFirstFrontier
 from repro.errors import ReproError
 from repro.kernel.goals import initial_state
@@ -182,6 +182,26 @@ class TestSearch:
             [("lia", "valid", "")],
         ]
 
+    @pytest.mark.parametrize(
+        "kind",
+        ["best-first", "depth-first", "breadth-first", "mcts", "linear"],
+    )
+    def test_every_policy_reports_its_queries_as_spans(self, project, kind):
+        tracer = Tracer()
+        search, theorem, builder, _ = _search_for(
+            project,
+            "plus_comm",
+            get_model("gpt-4o"),
+            metrics=Metrics(tracer),
+            fuel=16,
+            frontier=kind,
+        )
+        result = search.prove(theorem.name, theorem.statement, builder.build)
+        names = [span["name"] for span in tracer.export()]
+        assert result.stats.nodes_expanded > 1
+        assert names.count("generation") == result.stats.queries
+        assert names.count("expand") == result.stats.nodes_expanded
+
     def test_real_model_end_to_end(self, project):
         model = get_model("gpt-4o")
         search, theorem, builder, env = _search_for(
@@ -202,8 +222,32 @@ class TestSearch:
         assert r1.tactics == r2.tactics
 
 
+class _Goals:
+    """A stand-in proof state with ``n`` open goals."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def num_goals(self):
+        return self.n
+
+    def is_complete(self):
+        return self.n == 0
+
+
+class _FixedExpander:
+    """Admits the given open children, as ``Expander.expand`` would."""
+
+    def __init__(self, children):
+        self.children = children
+
+    def expand(self, node, candidates, limit=None):
+        return Expansion(children=list(self.children))
+
+
 class TestFrontierReservations:
-    """reserve/commit/release across all three disciplines (virtual loss)."""
+    """reserve/commit/release across every policy (virtual loss); ``mcts``
+    and ``linear`` hand out one node at a time."""
 
     def _nodes(self, scores=(-2.0, -0.5, -1.0)):
         return [
@@ -298,6 +342,82 @@ class TestFrontierReservations:
             str(i) for i in range(50)
         ]
 
+    def _node(self, key, goals=1, parent=None, log_prob=0.0):
+        return Node(
+            state=_Goals(goals),
+            key=key,
+            cum_log_prob=log_prob,
+            depth=0 if parent is None else parent.depth + 1,
+            parent=parent,
+            log_prob=log_prob,
+        )
+
+    def _expand(self, frontier, node, children):
+        # The loop's commit of an expansion.
+        frontier.commit(node)
+        return frontier.grow(node, [], _FixedExpander(children))
+
+    def test_mcts_one_node_at_a_time(self):
+        frontier = make_frontier("mcts")
+        root = self._node("root")
+        frontier.push(root)
+        assert frontier.reserve() is root
+        assert frontier.reserve() is None  # root still in flight
+        frontier.release(root)
+        assert frontier.reserve() is root
+        assert len(frontier) == 0
+        a, b = self._node("a", parent=root), self._node("b", parent=root)
+        assert self._expand(frontier, root, [a, b]) is None
+        assert len(frontier) == 2
+        assert frontier.reserve() is not None
+        assert frontier.reserve() is None
+        assert len(frontier) == 1
+
+    def test_mcts_counts_unexpanded_nodes_to_exhaustion(self):
+        frontier = make_frontier("mcts")
+        root = self._node("root")
+        frontier.push(root)
+        frontier.reserve()
+        a = self._node("a", parent=root, log_prob=-0.1)
+        b = self._node("b", parent=root, goals=3, log_prob=-10.0)
+        assert self._expand(frontier, root, [a, b]) is None
+        first = frontier.reserve()
+        assert first is a  # the likelier, fewer-goal child
+        assert self._expand(frontier, first, []) is None  # b is open
+        # b's prior is so low that UCT walks into the dead leaf a
+        # first; each such walk backs a up with value 0 and starts
+        # again from the root, until b's exploration term wins.
+        second = frontier.reserve()
+        assert second is b
+        assert self._expand(frontier, second, []) == (Status.STUCK, None)
+        assert len(frontier) == 0
+        assert frontier.reserve() is None
+
+    def test_mcts_nothing_pushed_reserves_nothing(self):
+        assert make_frontier("mcts").reserve() is None
+
+    def test_linear_one_node_at_a_time(self):
+        frontier = make_frontier("linear")
+        root = self._node("root")
+        frontier.push(root)
+        assert frontier.reserve() is root
+        assert frontier.reserve() is None
+        frontier.release(root)
+        assert len(frontier) == 1
+        assert frontier.reserve() is root
+        a, b = self._node("a", parent=root), self._node("b", parent=root)
+        assert self._expand(frontier, root, [a, b]) is None
+        assert len(frontier) == 1
+        assert frontier.reserve() is a  # only the first valid child
+
+    def test_linear_dead_end_with_empty_trail_is_stuck(self):
+        frontier = make_frontier("linear")
+        root = self._node("root")
+        frontier.push(root)
+        frontier.reserve()
+        assert self._expand(frontier, root, []) == (Status.STUCK, None)
+        assert len(frontier) == 0
+
 
 class TestPrefixSeeding:
     def test_first_expansion_is_deepest_prefix_node(self, project):
@@ -342,6 +462,35 @@ class TestPrefixSeeding:
             initial_tactics=["induction l", "simpl"],
         )
         assert prefixes_seen[0] == ["induction l", "simpl"]
+
+    @pytest.mark.parametrize(
+        "kind,expected",
+        [
+            ("linear", [["induction l", "simpl"]]),
+            ("mcts", [[], ["induction l"], ["induction l", "simpl"]]),
+        ],
+    )
+    def test_policies_take_a_seeded_prefix(self, project, kind, expected):
+        # linear resumes from the deepest prefix node; mcts adds the
+        # prefix to its tree and walks down to it from the root.
+        model = _ScriptedModel([["nonsense tactic"]])
+        search, theorem, builder, _ = _search_for(
+            project, "rev_involutive", model, frontier=kind
+        )
+        prefixes_seen = []
+
+        def spy_prompt(state, prefix):
+            prefixes_seen.append(list(prefix))
+            return builder.build(state, prefix)
+
+        result = search.prove(
+            theorem.name,
+            theorem.statement,
+            spy_prompt,
+            initial_tactics=["induction l", "simpl"],
+        )
+        assert result.status is Status.STUCK
+        assert prefixes_seen == expected
 
     def test_seeded_frontier_scores_increase_with_depth(self, project):
         theorem = project.theorem("rev_involutive")
