@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CorpusError
+from repro.kernel import arena as kernel_arena
 from repro.kernel.env import Environment
 from repro.corpus.model import SourceFile, Theorem
 from repro.corpus.tokenizer import count_tokens
@@ -160,7 +161,9 @@ class Project:
         Parsing is serialised and the fresh-type-variable counter is
         pinned to a fixed base for the duration, so concurrent
         registrations elaborate bit-identical statements regardless of
-        arrival order.  The registered theorem is NOT appended to
+        arrival order.  It runs in a kernel state of its own, so a
+        long-running server's default state does not grow with every
+        goal.  The registered theorem is NOT appended to
         :attr:`theorems` — splits, sweeps, and benchmarks must keep
         seeing exactly the corpus.
         """
@@ -182,7 +185,10 @@ class Project:
             saved = counter[0]
             counter[0] = _ADHOC_TVAR_BASE
             try:
-                statement = parse_statement(self.env, statement_text.strip())
+                with kernel_arena.scope():
+                    statement = parse_statement(
+                        self.env, statement_text.strip()
+                    )
             finally:
                 counter[0] = saved
             last = self.files[-1]
@@ -224,12 +230,23 @@ def load_project(
 
     With ``check_proofs=False`` lemma statements are trusted and their
     scripts are not replayed (used by fast unit tests; the full check
-    runs in ``tests/corpus``).
+    runs in ``tests/corpus``).  The load runs in a kernel state of its
+    own (:func:`repro.kernel.arena.scope`): the arena and memo tables
+    its proof replay filled are dropped once the project is built.
     """
     key = (tuple(modules) if modules is not None else FILE_MODULES, check_proofs)
     if use_cache and key in _CACHE:
         return _CACHE[key]
+    with kernel_arena.scope():
+        project = _build_project(modules, check_proofs)
+    if use_cache:
+        _CACHE[key] = project
+    return project
 
+
+def _build_project(
+    modules: Optional[Sequence[str]], check_proofs: bool
+) -> Project:
     module_names = list(modules) if modules is not None else list(FILE_MODULES)
     env = Environment()
     files: List[SourceFile] = []
@@ -306,6 +323,4 @@ def load_project(
     )
     for theorem in theorems:
         project._by_name[theorem.name] = theorem
-    if use_cache:
-        _CACHE[key] = project
     return project

@@ -299,15 +299,14 @@ class Runner:
         data to the sweep parent.  With neither, no span tree is built
         and the result is byte-identical to a traced execution.
 
-        Kernel memo caches are cleared on entry (bounding their
-        lifetime to one theorem search) and their hit/miss deltas ride
-        back on the task metrics as ``kernel.cache.<name>.*`` counters
-        (and, when tracing, as ``kernel_cache`` attributes on the task
-        span).  The search itself runs under a cache *pin*, so a
-        concurrent task's per-entry clear is deferred instead of
-        evicting this task's live interned terms (see
-        :mod:`repro.kernel.cache`).
+        The task runs in its own kernel state — term arena and memo
+        tables (:func:`repro.kernel.arena.scope`) — dropped when it
+        ends, so concurrent tasks never share ids or entries.  That
+        state's lookups ride back on the task metrics as
+        ``kernel.cache.<name>.*`` counters (and, when tracing, as
+        ``kernel_cache`` attributes on the task span).
         """
+        from repro.kernel import arena as kernel_arena
         from repro.kernel import cache as kernel_cache
 
         own_tracer: Optional[Tracer] = None
@@ -316,9 +315,7 @@ class Runner:
             tracer = own_tracer
         metrics = Metrics(tracer)
 
-        kernel_cache.clear_caches()
-        with kernel_cache.pinned():
-            cache_before = kernel_cache.cache_stats()
+        with kernel_arena.scope() as kernel_state:
             with metrics.span(
                 "task",
                 theorem=task.theorem,
@@ -352,7 +349,7 @@ class Runner:
                         status=Status.CRASH.value,
                         queries=0,
                     )
-                delta = kernel_cache.stats_delta(cache_before)
+                delta = kernel_cache.stats_delta({}, kernel_state.stats())
                 if metrics.tracing:
                     task_span.set(
                         status=record.status,

@@ -18,27 +18,29 @@ Consequences the hot paths rely on:
   explicit work-stack loops over ids/nodes, so 5000-deep terms never
   hit Python's recursion limit.
 
-Epoching: an arena is permanently tied to the
-:func:`repro.kernel.cache.intern_epoch` value at its creation.
-:func:`current` lazily retires the singleton when the epoch moves —
-and because :func:`repro.kernel.cache.clear_caches` *defers* the epoch
-bump while any :func:`~repro.kernel.cache.pinned` scope is held, a
-concurrent search's live ids are never orphaned mid-flight: the arena
-(and every id stamped on its terms) survives until the last pin is
-released.  Stamps carry ``(_agen, _aid)`` integers rather than an
-arena reference, so a retired arena is garbage-collected even while
-terms interned in it are still alive.
+Kernel state: an arena plus the registered memo tables keyed by its
+ids (:attr:`TermArena.tables`) is one search's whole kernel state.
+:func:`scope` runs a block in a fresh state held in a
+:class:`contextvars.ContextVar` and drops it when the block exits; the
+eval runner opens one per task.  Outside any scope a default state
+serves, and :func:`repro.kernel.cache.clear_caches` replaces it.
 
-Id-keyed memo tables outside this module (substitution/reduction
-caches in :mod:`repro.kernel.subst` / :mod:`repro.kernel.reduction`)
-include the arena generation in their keys: ids are only meaningful
-within one generation.
+Stamps: an admitted term carries one attribute, ``_st``, its arena's
+shared ``(generation, id)`` tuple.  Generations are unique, so a stamp
+never matches a dead or foreign arena.  Concurrent searches share
+terms (the environment's statements) and re-stamp them, so a reader
+takes the tuple once; a node's key is built from child stamps the walk
+has just read as this arena's, and derived data takes child ids from
+the node keys, never from the children's stamps.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Dict, FrozenSet, Iterator, List, Optional
 
 from repro.kernel import cache as _cache
 from repro.kernel.terms import (
@@ -62,119 +64,129 @@ from repro.kernel.terms import (
     term_children,
 )
 
-__all__ = ["TermArena", "current", "intern_term", "intern_id", "term_of"]
+__all__ = [
+    "TermArena", "current", "scope", "intern_term", "intern_id", "term_of"
+]
 
+_GENERATIONS = itertools.count()
 
-class _ArenaStats:
-    """Registry adapter: hit/miss counters for an arena-backed memo.
-
-    Quacks like :class:`repro.kernel.cache.BoundedCache` for the
-    stats/clear protocol — the data itself lives in the arena (retired
-    wholesale on epoch bump), so :meth:`clear` only has to keep the
-    counters, exactly like a ``BoundedCache.clear``.
-    """
-
-    __slots__ = ("name", "hits", "misses", "evictions")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        _cache._REGISTRY.append(self)
-
-    def clear(self) -> None:  # data lives in the arena; nothing to drop
-        pass
-
-    def stats(self) -> Dict[str, float]:
-        out: Dict[str, float] = {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": _ARENA.size() if _ARENA is not None else 0,
-            "capacity": 0,
-            "evictions": self.evictions,
-        }
-        total = self.hits + self.misses
-        out["hit_rate"] = self.hits / total if total else 0.0
-        return out
-
-
-_INTERN_STATS = _ArenaStats("intern")
-_ALPHA_FP_STATS = _ArenaStats("alpha_fp")
+# Node-key tags, also hashed into alpha fingerprints.
+_TAG = {App: "a", Lam: "L", Forall: "A", Exists: "E"}
+_TAG.update({Impl: "I", And: "&", Or: "|", Eq: "="})
 
 
 class TermArena:
-    """One generation's node table plus parallel derived-data arrays.
+    """One search's node table, parallel derived-data arrays and memos.
 
-    Thread safety: the service's worker threads intern into the shared
-    singleton concurrently, so *admission* (which must keep the node
-    table and every parallel array aligned) is serialized on
-    ``admit_lock`` with a double-checked table probe.  The hit paths
-    stay lock-free: a table entry is published only after all parallel
-    arrays hold the node (publish-last), and representatives are
-    stamped ``_aid`` before ``_agen``, so an unlocked reader that
-    observes a hit can always dereference it.
+    Thread safety: threads outside any scope share the default state,
+    so *admission* (which must keep the node table and every parallel
+    array aligned) is serialized on ``admit_lock`` with a
+    double-checked table probe.  The hit paths stay lock-free: a table
+    entry is published only after all parallel arrays hold the node
+    (publish-last), so an unlocked reader that observes a hit can
+    always dereference it.
     """
 
     __slots__ = (
         "generation",
         "nodes",
         "terms",
+        "stamps",
         "table",
         "hashes",
         "fvs",
         "metas",
         "alpha_fp",
+        "tables",
+        "intern_hits",
+        "intern_misses",
+        "fp_hits",
+        "fp_misses",
         "admit_lock",
+        "__weakref__",
     )
 
-    def __init__(self, generation: int) -> None:
-        self.generation = generation
+    def __init__(self) -> None:
+        self.generation = next(_GENERATIONS)
         self.nodes: List[tuple] = []  # id -> structural key (tag + child ids)
         self.terms: List[Term] = []  # id -> canonical Term object
+        self.stamps: List[tuple] = []  # id -> the (generation, id) stamp
         self.table: Dict[tuple, int] = {}  # structural key -> id
         # Parallel derived arrays, keyed by id.
         self.hashes: List[int] = []  # structural hash (eager)
         self.fvs: List[Optional[FrozenSet[str]]] = []  # lazy
         self.metas: List[Optional[FrozenSet[int]]] = []  # lazy
         self.alpha_fp: List[Optional[int]] = []  # lazy (empty-env fp)
+        # The registered memo tables, keyed by these ids.
+        self.tables = _cache.MemoTables()
+        self.intern_hits = 0
+        self.intern_misses = 0
+        self.fp_hits = 0
+        self.fp_misses = 0
         self.admit_lock = threading.Lock()
 
     def size(self) -> int:
         return len(self.nodes)
+
+    def drop(self) -> None:
+        """Free every node and memo entry, keeping the counters: a
+        frame that a stored traceback keeps alive may still hold it."""
+        for data in (
+            self.nodes, self.terms, self.stamps, self.table, self.hashes,
+            self.fvs, self.metas, self.alpha_fp, self.tables,
+        ):
+            data.clear()
+
+    def stats(self) -> Dict[str, Dict[str, int]]:
+        """This state's lookups and resident entries, per table."""
+        out = {name: t.stats() for name, t in list(self.tables.items())}
+        size = len(self.nodes)
+        for name, hits, misses in (
+            ("intern", self.intern_hits, self.intern_misses),
+            ("alpha_fp", self.fp_hits, self.fp_misses),
+        ):
+            out[name] = dict(
+                hits=hits, misses=misses, size=size, capacity=0, evictions=0
+            )
+        return out
 
     # -- interning ------------------------------------------------------
 
     def intern_id(self, term: Term) -> int:
         """The id of ``term``'s structure, admitting nodes as needed.
 
-        Iterative post-order walk: a node is admitted only once all of
-        its children carry a valid ``(_agen, _aid)`` stamp for this
-        arena, so :meth:`_admit` reads child ids in O(1).
+        Iterative post-order walk: a node is admitted once all of its
+        children carry this arena's stamp, keyed by the ids those
+        stamps held when this visit read them, each once; a child
+        another search's arena re-stamps meanwhile is walked again.
+        The root is popped last, so the last id the walk sees is the
+        root's.
         """
         gen = self.generation
-        d = term.__dict__
-        if d.get("_agen") == gen:
-            _INTERN_STATS.hits += 1
-            return d["_aid"]
+        stamp = term.__dict__.get("_st")
+        if stamp is not None and stamp[0] == gen:
+            self.intern_hits += 1
+            return stamp[1]
+        tid = -1
         stack = [term]
         while stack:
             t = stack[-1]
-            td = t.__dict__
-            if td.get("_agen") == gen:
+            stamp = t.__dict__.get("_st")
+            if stamp is not None and stamp[0] == gen:
                 stack.pop()
+                tid = stamp[1]
                 continue
-            pending = [
-                c
-                for c in term_children(t)
-                if c.__dict__.get("_agen") != gen
-            ]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            self._admit(t)
-        return d["_aid"]
+            ids = []
+            for child in term_children(t):
+                stamp = child.__dict__.get("_st")
+                if stamp is None or stamp[0] != gen:
+                    stack.append(child)
+                else:
+                    ids.append(stamp[1])
+            if stack[-1] is t:
+                stack.pop()
+                tid = self._admit(t, ids)
+        return tid
 
     def intern_term(self, term: Term) -> Term:
         """The canonical representative of ``term``'s structure."""
@@ -184,11 +196,10 @@ class TermArena:
         """The canonical term for id ``tid``."""
         return self.terms[tid]
 
-    def _admit(self, term: Term) -> int:
-        """Intern one node whose children are already stamped."""
-        key = self._node_key(term)
+    def _admit(self, term: Term, ids: List[int]) -> int:
+        """Intern one node whose children have the ids ``ids``."""
+        key = self._node_key(term, ids)
         tid = self.table.get(key)
-        d = term.__dict__
         if tid is None:
             # Admission is the only compound mutation: the node table
             # and every parallel array must stay aligned, and two
@@ -199,103 +210,75 @@ class TermArena:
             with self.admit_lock:
                 tid = self.table.get(key)
                 if tid is None:
-                    _INTERN_STATS.misses += 1
-                    rep = self._canonicalize(term)
+                    self.intern_misses += 1
+                    rep = self._canonicalize(term, key)
                     tid = len(self.nodes)
+                    stamp = (self.generation, tid)
                     self.nodes.append(key)
                     self.terms.append(rep)
+                    self.stamps.append(stamp)
                     self.hashes.append(structural_hash(rep))
                     self.fvs.append(None)
                     self.metas.append(None)
                     self.alpha_fp.append(None)
-                    # Stamp the representative (_aid before _agen: an
-                    # unlocked reader checks _agen first) and then
-                    # publish.  The compatibility stamp `_interned` is
-                    # read by the epoch/pinning tests: the arena
-                    # generation *is* the intern epoch it was born
-                    # under.
-                    object.__setattr__(rep, "_aid", tid)
-                    object.__setattr__(rep, "_agen", self.generation)
-                    object.__setattr__(rep, "_interned", self.generation)
+                    object.__setattr__(rep, "_st", stamp)
                     self.table[key] = tid
                 else:
-                    _INTERN_STATS.hits += 1
+                    self.intern_hits += 1
         else:
-            _INTERN_STATS.hits += 1
-        if d.get("_agen") != self.generation or d.get("_aid") != tid:
-            object.__setattr__(term, "_aid", tid)
-            object.__setattr__(term, "_agen", self.generation)
+            self.intern_hits += 1
+        stamp = self.stamps[tid]
+        if term.__dict__.get("_st") is not stamp:
+            object.__setattr__(term, "_st", stamp)
         return tid
 
-    def _node_key(self, term: Term) -> tuple:
+    def _node_key(self, term: Term, ids: List[int]) -> tuple:
         """The hash-consing key: class tag, scalar payload, child ids."""
         cls = term.__class__
-        d = term.__dict__
+        if cls is App:
+            return ("a", *ids)
         if cls is Var:
             return ("v", term.name)
         if cls is Const:
             return ("c", term.name)
-        if cls is App:
-            return (
-                ("a", term.fn.__dict__["_aid"])
-                + tuple(a.__dict__["_aid"] for a in term.args)
-            )
-        if cls is Lam:
-            return ("L", term.var, term.ty, term.body.__dict__["_aid"])
-        if cls is Forall:
-            return ("A", term.var, term.ty, term.body.__dict__["_aid"])
-        if cls is Exists:
-            return ("E", term.var, term.ty, term.body.__dict__["_aid"])
-        if cls is Impl:
-            return ("I", term.lhs.__dict__["_aid"], term.rhs.__dict__["_aid"])
-        if cls is And:
-            return ("&", term.lhs.__dict__["_aid"], term.rhs.__dict__["_aid"])
-        if cls is Or:
-            return ("|", term.lhs.__dict__["_aid"], term.rhs.__dict__["_aid"])
         if cls is Eq:
-            return (
-                "=",
-                term.ty,
-                term.lhs.__dict__["_aid"],
-                term.rhs.__dict__["_aid"],
-            )
+            return ("=", term.ty, *ids)
+        if cls is Lam or cls is Forall or cls is Exists:
+            return (_TAG[cls], term.var, term.ty, *ids)
         if cls is TrueP:
             return ("T",)
         if cls is FalseP:
             return ("F",)
         if cls is Meta:
             return ("m", term.uid, term.hint)
-        raise AssertionError(f"unknown term node: {term!r}")
+        return (_TAG[cls], *ids)  # Impl / And / Or
 
-    def _canonicalize(self, term: Term) -> Term:
-        """Rebuild ``term`` over canonical children (identity-preserving)."""
+    def _canonicalize(self, term: Term, key: tuple) -> Term:
+        """Rebuild ``term`` over the canonical children its ``key``
+        names (identity-preserving)."""
         cls = term.__class__
         terms = self.terms
         if cls is App:
-            fn = terms[term.fn.__dict__["_aid"]]
-            args = tuple(terms[a.__dict__["_aid"]] for a in term.args)
+            fn = terms[key[1]]
+            args = tuple(terms[a] for a in key[2:])
             if fn is term.fn and all(
                 a is b for a, b in zip(args, term.args)
             ):
                 return term
             return App(fn, args)
         if cls is Lam or cls is Forall or cls is Exists:
-            body = terms[term.body.__dict__["_aid"]]
+            body = terms[key[-1]]
             if body is term.body:
                 return term
             return cls(term.var, term.ty, body)
-        if cls is Impl or cls is And or cls is Or:
-            lhs = terms[term.lhs.__dict__["_aid"]]
-            rhs = terms[term.rhs.__dict__["_aid"]]
+        if cls is Impl or cls is And or cls is Or or cls is Eq:
+            lhs = terms[key[-2]]
+            rhs = terms[key[-1]]
             if lhs is term.lhs and rhs is term.rhs:
                 return term
+            if cls is Eq:
+                return Eq(term.ty, lhs, rhs)
             return cls(lhs, rhs)
-        if cls is Eq:
-            lhs = terms[term.lhs.__dict__["_aid"]]
-            rhs = terms[term.rhs.__dict__["_aid"]]
-            if lhs is term.lhs and rhs is term.rhs:
-                return term
-            return Eq(term.ty, lhs, rhs)
         # Leaves are canonical by construction.
         return term
 
@@ -328,14 +311,16 @@ class TermArena:
         variables hash by de Bruijn index, so a subterm closed with
         respect to the enclosing binders fingerprints the same at any
         position and its value memoizes in the ``alpha_fp`` array.
+        Child ids come from the node keys (the last entries).
         """
         memo = self.alpha_fp
         cached = memo[tid]
         if cached is not None:
-            _ALPHA_FP_STATS.hits += 1
+            self.fp_hits += 1
             return cached
-        _ALPHA_FP_STATS.misses += 1
+        self.fp_misses += 1
         terms = self.terms
+        nodes = self.nodes
         _EMPTY: Dict[str, int] = {}
         # Frames: (False, tid, env, depth) to visit, (True, tid, env,
         # depth) to combine child fingerprints off the value stack.
@@ -352,17 +337,10 @@ class TermArena:
                     del vals[-(n + 1):]
                     fp = hash(("a", n, child[0]) + tuple(child[1:]))
                 elif cls is Lam or cls is Forall or cls is Exists:
-                    tag = {"Lam": "L", "Forall": "A", "Exists": "E"}[
-                        cls.__name__
-                    ]
-                    fp = hash((tag, vals.pop()))
-                elif cls is Eq:
+                    fp = hash((_TAG[cls], vals.pop()))
+                else:  # Impl / And / Or / Eq
                     rhs = vals.pop()
-                    fp = hash(("=", vals.pop(), rhs))
-                else:  # Impl / And / Or
-                    tag = {"Impl": "I", "And": "&", "Or": "|"}[cls.__name__]
-                    rhs = vals.pop()
-                    fp = hash((tag, vals.pop(), rhs))
+                    fp = hash((_TAG[cls], vals.pop(), rhs))
                 if not env:
                     memo[i] = fp
                 vals.append(fp)
@@ -394,52 +372,63 @@ class TermArena:
                 vals.append(hash(("m", t.uid)))
             elif cls is App:
                 tasks.append((True, i, env, depth))
-                for a in reversed(t.args):
-                    tasks.append((False, a.__dict__["_aid"], env, depth))
-                tasks.append((False, t.fn.__dict__["_aid"], env, depth))
+                for c in reversed(nodes[i][1:]):
+                    tasks.append((False, c, env, depth))
             elif cls is Lam or cls is Forall or cls is Exists:
                 inner = dict(env)
                 inner[t.var] = depth
                 tasks.append((True, i, env, depth))
-                tasks.append(
-                    (False, t.body.__dict__["_aid"], inner, depth + 1)
-                )
+                tasks.append((False, nodes[i][-1], inner, depth + 1))
             elif cls is Impl or cls is And or cls is Or or cls is Eq:
+                key = nodes[i]
                 tasks.append((True, i, env, depth))
-                tasks.append((False, t.rhs.__dict__["_aid"], env, depth))
-                tasks.append((False, t.lhs.__dict__["_aid"], env, depth))
+                tasks.append((False, key[-1], env, depth))
+                tasks.append((False, key[-2], env, depth))
             else:
                 raise AssertionError(f"unknown term node: {t!r}")
         return vals[0]
 
 
 # ----------------------------------------------------------------------
-# The singleton, retired lazily when the intern epoch moves
+# The running search's state, or the default outside any search
 # ----------------------------------------------------------------------
 
-_ARENA: Optional[TermArena] = None
-_SWAP_LOCK = threading.Lock()
+_STATE: ContextVar[TermArena] = ContextVar("kernel_state")
+_DEFAULT = TermArena()
+_cache.track(_DEFAULT)
 
 
 def current() -> TermArena:
-    """The live arena for the current intern epoch.
+    """The kernel state of the running search, else the default."""
+    return _STATE.get(_DEFAULT)
 
-    The swap is lazy: :func:`repro.kernel.cache.clear_caches` bumps
-    the epoch (deferred while pins are held), and the next arena
-    access retires the old generation.  Under an active ``pinned()``
-    scope the epoch cannot move, so ids held by a concurrent search
-    stay valid for the life of the pin.
+
+@contextmanager
+def scope() -> Iterator[TermArena]:
+    """Run a block — one search — in a fresh kernel state.
+
+    The state is dropped when the block exits, its lookups folded into
+    :func:`repro.kernel.cache.cache_stats`, and the caller's state is
+    current again.  A thread the block starts does not inherit it: it
+    runs in the default state.
     """
-    global _ARENA
-    epoch = _cache.intern_epoch()
-    arena = _ARENA
-    if arena is None or arena.generation != epoch:
-        with _SWAP_LOCK:
-            arena = _ARENA
-            if arena is None or arena.generation != epoch:
-                arena = TermArena(epoch)
-                _ARENA = arena
-    return arena
+    state = TermArena()
+    _cache.track(state)
+    token = _STATE.set(state)
+    try:
+        yield state
+    finally:
+        _STATE.reset(token)
+        _cache.retire(state)
+        state.drop()
+
+
+def reset() -> None:
+    """Replace the default state with a fresh one."""
+    global _DEFAULT
+    old, _DEFAULT = _DEFAULT, TermArena()
+    _cache.track(_DEFAULT)
+    _cache.retire(old)
 
 
 def intern_id(term: Term) -> int:

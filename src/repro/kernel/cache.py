@@ -1,32 +1,22 @@
-"""The kernel's hot-path cache layer.
+"""The kernel's memo tables and the switch that bypasses them.
 
 Every candidate tactic the search engine tries costs substitution,
 reduction, and a duplicate-detection key; best-first search revisits
 the same hypothesis terms thousands of times, so the kernel memoizes
 its pure functions.  This module holds the shared machinery:
 
-* :class:`BoundedCache` — a FIFO-evicting dict with hit/miss counters,
-  registered in a module-level registry so the evaluation layer can
-  report hit rates per cache (``kernel.cache.<name>.*`` counters).
+* :class:`BoundedCache` — a FIFO-evicting dict with hit/miss counters.
+* per-search memos — :func:`register` declares a memo table by name
+  and capacity.  Each kernel state (a :class:`~repro.kernel.arena.
+  TermArena`: one per search, plus a default outside any search)
+  builds its own table on first use, so a search's entries, ids and
+  counts are its own and die with it (DESIGN.md §4a).
+* process totals — :func:`cache_stats` sums the lookups of every
+  kernel state, live and retired (``kernel.cache.<name>.*``).
 * a global enable switch — ``REPRO_KERNEL_CACHE=0`` in the
   environment, :func:`configure`, or the CLI's ``--no-kernel-cache``
   flag turn every memo off, restoring the pristine code paths (the
   differential-soundness oracle in ``tests/kernel``).
-* an intern *epoch* — :func:`clear_caches` drops all cached entries
-  and bumps the epoch, invalidating the ``intern()`` marks stamped on
-  term objects (see :mod:`repro.kernel.terms`).
-* cache *pins* — :func:`pinned` scopes a search's use of the caches.
-  While any pin is held, :func:`clear_caches` **defers**: it records
-  the request and returns, and the clear (entry drop + epoch bump)
-  runs when the last pin is released.  Without this, the per-task
-  clear issued by one finishing search would evict another concurrent
-  search's live interned terms and memo entries under the thread
-  backend / prover service — not unsound (the memos are pure, evicted
-  entries just recompute), but an epoch bump mid-search invalidates
-  the ``_interned`` stamps on every term the still-running search
-  holds, forcing wholesale re-interning and re-derivation.  Deferral
-  preserves the serial semantics exactly: with no concurrent pin, the
-  clear is immediate, as before.
 
 Safety argument (DESIGN.md §4a): every memoized function is a pure
 function of its key.  Terms are frozen dataclasses, so a term-keyed
@@ -41,18 +31,16 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 __all__ = [
     "BoundedCache",
+    "MemoTables",
+    "register",
     "enabled",
     "configure",
     "disabled",
     "clear_caches",
-    "pinned",
-    "pin_count",
-    "clear_pending",
-    "intern_epoch",
     "cache_stats",
     "stats_delta",
 ]
@@ -66,33 +54,20 @@ _ENABLED: bool = os.environ.get("REPRO_KERNEL_CACHE", "1").lower() not in (
     "no",
 )
 
-# Bumped by clear_caches(); terms interned under an older epoch are
-# re-interned on next use (their stamped epoch no longer matches).
-_INTERN_EPOCH: int = 0
-
-_REGISTRY: List["BoundedCache"] = []
-
 
 class BoundedCache:
     """A memo table with an explicit size bound and hit/miss counters.
 
     Eviction is FIFO (dicts preserve insertion order): the memo
     workloads here are dominated by a hot recent working set, and FIFO
-    keeps the hit path to a single dict probe.  Counters survive
-    :meth:`clear` so sweep-level statistics accumulate across
-    per-task cache resets.
-
-    ``register=False`` keeps the cache out of the module registry, so
-    :func:`clear_caches` (issued once per evaluation task) never wipes
-    it — for consumers outside the kernel whose entries must outlive a
-    single theorem search, e.g. the service's store-less proof cache.
+    keeps the hit path to a single dict probe.  A table built directly
+    is the caller's to keep, e.g. the text memos whose entries outlive
+    a search; the kernel's own memos are :func:`register`-ed instead.
     """
 
     __slots__ = ("name", "capacity", "data", "hits", "misses", "evictions")
 
-    def __init__(
-        self, name: str, capacity: int, register: bool = True
-    ) -> None:
+    def __init__(self, name: str, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.name = name
@@ -101,8 +76,6 @@ class BoundedCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        if register:
-            _REGISTRY.append(self)
 
     def get(self, key: Any) -> Any:
         """The cached value for ``key``, or ``None`` (counted as miss)."""
@@ -116,17 +89,15 @@ class BoundedCache:
     def put(self, key: Any, value: Any) -> None:
         data = self.data
         if len(data) >= self.capacity and key not in data:
-            # FIFO eviction; tolerate races under the thread backend
-            # (worst case a concurrent put already evicted the head).
+            # FIFO eviction; tolerate races on a table shared by
+            # threads (worst case a concurrent put already evicted the
+            # head).
             try:
                 del data[next(iter(data))]
                 self.evictions += 1
             except (StopIteration, KeyError, RuntimeError):
                 pass
         data[key] = value
-
-    def clear(self) -> None:
-        self.data.clear()
 
     def stats(self) -> Dict[str, float]:
         total = self.hits + self.misses
@@ -141,7 +112,34 @@ class BoundedCache:
 
 
 # ----------------------------------------------------------------------
-# Global switches
+# Per-search memo tables
+# ----------------------------------------------------------------------
+
+_CAPACITY: Dict[str, int] = {}
+
+
+def register(name: str, capacity: int) -> str:
+    """Declare a memo table every kernel state holds; returns ``name``.
+
+    Memo sites look their table up on the state they already fetched:
+    ``arena.current().tables[name]``.
+    """
+    _CAPACITY[name] = capacity
+    return name
+
+
+class MemoTables(dict):
+    """One kernel state's registered memo tables, each built on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> BoundedCache:
+        # setdefault: two threads sharing the default state keep one.
+        return self.setdefault(name, BoundedCache(name, _CAPACITY[name]))
+
+
+# ----------------------------------------------------------------------
+# Global switch
 # ----------------------------------------------------------------------
 
 
@@ -168,89 +166,61 @@ def disabled() -> Iterator[None]:
         _ENABLED = previous
 
 
-def intern_epoch() -> int:
-    return _INTERN_EPOCH
-
-
-# Pin bookkeeping: how many searches currently rely on the live epoch,
-# and whether a clear was requested while they ran.
-_PIN_LOCK = threading.Lock()
-_PIN_COUNT = 0
-_CLEAR_PENDING = False
-
-
-def _clear_now() -> None:
-    # Bumping the epoch retires the term arena lazily: the next
-    # arena access (repro.kernel.arena.current) sees the mismatch and
-    # swaps in a fresh generation, so ids held by pinned searches stay
-    # valid right up to the moment this bump is allowed to land.
-    global _INTERN_EPOCH
-    _INTERN_EPOCH += 1
-    for cache in _REGISTRY:
-        cache.clear()
-
-
 def clear_caches() -> None:
-    """Drop all cached entries (counters persist) and bump the epoch.
+    """Replace the default kernel state, outside any search, with a
+    fresh one.  A running search's state is its own: no clear reaches
+    it."""
+    from repro.kernel import arena
 
-    The evaluation runner calls this once per task so the intern table
-    and memo tables never outlive a theorem search by more than one
-    task — the cache layer's memory bound.
-
-    While any :func:`pinned` scope is active the clear is *deferred*
-    until the last pin is released, so a task finishing under the
-    thread backend (or the prover service) never evicts a concurrent
-    task's live interned terms mid-search.
-    """
-    global _CLEAR_PENDING
-    with _PIN_LOCK:
-        if _PIN_COUNT > 0:
-            _CLEAR_PENDING = True
-            return
-        _clear_now()
-
-
-@contextmanager
-def pinned() -> Iterator[None]:
-    """Hold the current cache epoch live for the duration of a search.
-
-    Re-entrant across threads (a shared counter, not a flag).  On
-    release of the last pin, any :func:`clear_caches` requests that
-    arrived while pinned run once — deferred, coalesced, never lost.
-    """
-    global _PIN_COUNT, _CLEAR_PENDING
-    with _PIN_LOCK:
-        _PIN_COUNT += 1
-    try:
-        yield
-    finally:
-        with _PIN_LOCK:
-            _PIN_COUNT -= 1
-            if _PIN_COUNT == 0 and _CLEAR_PENDING:
-                _CLEAR_PENDING = False
-                _clear_now()
-
-
-def pin_count() -> int:
-    """How many pinned scopes are currently active (service gauge)."""
-    with _PIN_LOCK:
-        return _PIN_COUNT
-
-
-def clear_pending() -> bool:
-    """True when a deferred :func:`clear_caches` is waiting on pins."""
-    with _PIN_LOCK:
-        return _CLEAR_PENDING
+    arena.reset()
 
 
 # ----------------------------------------------------------------------
-# Statistics
+# Statistics: process totals over every kernel state
 # ----------------------------------------------------------------------
 
+_STATS_LOCK = threading.Lock()
+_LIVE: set = set()  # states still counting (the default and open scopes)
+_RETIRED: Dict[str, Dict[str, float]] = {}  # lookups of dropped states
+_SUMMED = ("hits", "misses", "evictions", "size")
 
-def cache_stats() -> Dict[str, Dict[str, int]]:
-    """Per-cache ``{hits, misses, size, capacity}`` snapshot."""
-    return {cache.name: cache.stats() for cache in _REGISTRY}
+
+def track(state) -> None:
+    """Count ``state``'s lookups in :func:`cache_stats` from now on."""
+    with _STATS_LOCK:
+        _LIVE.add(state)
+
+
+def retire(state) -> None:
+    """Fold a dropped ``state``'s lookups into the process totals."""
+    stats = state.stats()
+    for cell in stats.values():
+        cell["size"] = 0  # a dropped state holds no entries
+    with _STATS_LOCK:
+        _LIVE.discard(state)
+        _add(_RETIRED, stats)
+
+
+def _add(totals: Dict[str, Dict[str, float]], stats) -> None:
+    for name, cell in stats.items():
+        total = totals.setdefault(name, dict.fromkeys(_SUMMED, 0))
+        for field in _SUMMED:
+            total[field] += cell[field]
+        total["capacity"] = cell["capacity"]
+
+
+def cache_stats() -> Dict[str, Dict[str, float]]:
+    """Per-table ``{hits, misses, size, capacity, evictions, hit_rate}``
+    summed over every kernel state so far; ``size`` counts the entries
+    live states hold."""
+    with _STATS_LOCK:
+        out = {name: dict(cell) for name, cell in _RETIRED.items()}
+        for state in _LIVE:
+            _add(out, state.stats())
+    for cell in out.values():
+        lookups = cell["hits"] + cell["misses"]
+        cell["hit_rate"] = cell["hits"] / lookups if lookups else 0.0
+    return out
 
 
 def stats_delta(

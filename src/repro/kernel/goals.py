@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import KernelError
 from repro.kernel import cache as _cache
+from repro.kernel.arena import current as _current_arena
 from repro.kernel.env import Environment
 from repro.kernel.pretty import pp_term, pp_type
 from repro.kernel.subst import alpha_fingerprint, alpha_key, fresh_name
@@ -33,18 +34,19 @@ __all__ = ["VarDecl", "HypDecl", "Decl", "Goal", "ProofState", "initial_state"]
 # The display text of each term rendered in this task.  A child
 # state's display shares most hypotheses with its parent's, so each
 # prompt renders only what the last tactic changed.  A kernel cache:
-# emptied per task and bypassed with the caches off.
-_RENDERED = _cache.BoundedCache("render", capacity=1_024)
+# one table per search, bypassed with the caches off.
+_RENDERED = _cache.register("render", capacity=1_024)
 
 
 def _render(term: Term) -> str:
-    """``pp_term(term)``, memoized per task."""
+    """``pp_term(term)``, memoized per search."""
     if not _cache.enabled():
         return pp_term(term)
-    text = _RENDERED.get(term)
+    memo = _current_arena().tables[_RENDERED]
+    text = memo.get(term)
     if text is None:
         text = pp_term(term)
-        _RENDERED.put(term, text)
+        memo.put(term, text)
     return text
 
 

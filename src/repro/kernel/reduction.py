@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro import deadline as _deadline
 from repro.errors import TacticTimeout
 from repro.kernel import cache as _cache
+from repro.kernel.arena import current as _current_arena
 from repro.kernel.definitions import Abbreviation, FixEquation, Fixpoint
 from repro.kernel.env import Environment
 from repro.kernel.subst import subst_vars
@@ -190,24 +191,11 @@ def _try_iota(
     return None
 
 
-_WHNF_CACHE = _cache.BoundedCache("whnf", capacity=32_768)
-_SIMPL_CACHE = _cache.BoundedCache("simpl", capacity=32_768)
-
-# Deferred import cache: arena imports terms; reduction reaches it
-# lazily, mirroring terms.py/subst.py.
-_ARENA_MOD = None
+_WHNF = _cache.register("whnf", capacity=32_768)
+_SIMPL = _cache.register("simpl", capacity=32_768)
 
 
-def _arena():
-    global _ARENA_MOD
-    if _ARENA_MOD is None:
-        from repro.kernel import arena as mod
-
-        _ARENA_MOD = mod
-    return _ARENA_MOD
-
-
-def _memo_reduce(cache, compute, env, term, budget: Budget) -> Term:
+def _memo_reduce(name, compute, env, term, budget: Budget) -> Term:
     """Memoize a budgeted reduction with *exact* step accounting.
 
     A cache entry stores ``(result, steps)`` recorded from a run that
@@ -216,14 +204,14 @@ def _memo_reduce(cache, compute, env, term, budget: Budget) -> Term:
     those steps to the caller's budget when affordable (bit-for-bit
     identical to replaying) and otherwise replay honestly, so partial
     results under tiny budgets match the uncached kernel exactly.
-    Entries key on the term's arena id (plus the arena generation —
-    ids are meaningless across epochs), the environment object, and
+    Entries key on the term's arena id, the environment object, and
     its declaration generation: corpus loading mutates the environment
     between proofs, and a new declaration must never be answered from
     a stale entry.
     """
-    arena = _arena().current()
-    key = (env, env.generation, arena.generation, arena.intern_id(term))
+    arena = _current_arena()
+    key = (env, env.generation, arena.intern_id(term))
+    cache = arena.tables[name]
     hit = cache.get(key)
     if hit is not None:
         result, steps = hit
@@ -255,7 +243,7 @@ def whnf(env: Environment, term: Term, budget: Optional[Budget] = None) -> Term:
 def _reduce_head(env: Environment, term: Term, budget: Budget) -> Term:
     if not _cache.enabled():
         return _whnf(env, term, budget)
-    return _memo_reduce(_WHNF_CACHE, _whnf, env, term, budget)
+    return _memo_reduce(_WHNF, _whnf, env, term, budget)
 
 
 def _stuck(env: Environment, term: Term) -> bool:
@@ -347,10 +335,10 @@ def simpl(env: Environment, term: Term, budget: Optional[Budget] = None) -> Term
         budget = Budget()
     use_cache = _cache.enabled()
     arena = None
-    gen = 0
+    memo = None
     if use_cache:
-        arena = _arena().current()
-        gen = arena.generation
+        arena = _current_arena()
+        memo = arena.tables[_SIMPL]
 
     tasks: list = [(_VISIT, term)]
     vals: list = []
@@ -361,8 +349,8 @@ def simpl(env: Environment, term: Term, budget: Optional[Budget] = None) -> Term
             node = frame[1]
             memo_key = None
             if use_cache:
-                memo_key = (env, env.generation, gen, arena.intern_id(node))
-                hit = _SIMPL_CACHE.get(memo_key)
+                memo_key = (env, env.generation, arena.intern_id(node))
+                hit = memo.get(memo_key)
                 if hit is not None:
                     result, steps = hit
                     if steps <= budget.remaining:
@@ -377,7 +365,7 @@ def simpl(env: Environment, term: Term, budget: Optional[Budget] = None) -> Term
             cls = node.__class__
             if cls is Var or cls is Const or cls is TrueP or cls is FalseP or cls is Meta:
                 if memo_key is not None:
-                    _SIMPL_CACHE.put(memo_key, (node, 1))
+                    memo.put(memo_key, (node, 1))
                 vals.append(node)
                 continue
             if cls is App:
@@ -411,7 +399,7 @@ def simpl(env: Environment, term: Term, budget: Optional[Budget] = None) -> Term
             else:
                 result = app(fn, *args)
                 if memo_key is not None and budget.remaining > 0:
-                    _SIMPL_CACHE.put(
+                    memo.put(
                         memo_key, (result, before - budget.remaining)
                     )
                 vals.append(result)
@@ -419,7 +407,7 @@ def simpl(env: Environment, term: Term, budget: Optional[Budget] = None) -> Term
             _, node, memo_key, before = frame
             result = node.__class__(node.var, node.ty, vals.pop())
             if memo_key is not None and budget.remaining > 0:
-                _SIMPL_CACHE.put(memo_key, (result, before - budget.remaining))
+                memo.put(memo_key, (result, before - budget.remaining))
             vals.append(result)
         elif op == _PAIR_C:
             _, node, memo_key, before = frame
@@ -430,12 +418,12 @@ def simpl(env: Environment, term: Term, budget: Optional[Budget] = None) -> Term
             else:
                 result = node.__class__(lhs, rhs)
             if memo_key is not None and budget.remaining > 0:
-                _SIMPL_CACHE.put(memo_key, (result, before - budget.remaining))
+                memo.put(memo_key, (result, before - budget.remaining))
             vals.append(result)
         else:  # _STORE
             _, memo_key, before = frame
             if budget.remaining > 0:
-                _SIMPL_CACHE.put(
+                memo.put(
                     memo_key, (vals[-1], before - budget.remaining)
                 )
     return vals[0]

@@ -24,7 +24,7 @@ visit/combine frames and a value stack — so substitution through a
 5000-deep term never touches Python's recursion limit.  Both memoize
 *per node* through :mod:`repro.kernel.cache`, keyed by arena id
 (:mod:`repro.kernel.arena`) plus the substitution context, so a
-subterm shared between goals resolves once per epoch instead of once
+subterm shared between goals resolves once per search instead of once
 per call.  ``alpha_fingerprint`` delegates to the arena's fingerprint
 array; ``alpha_key`` stays a recursive string builder — it is the
 *oracle* the property suite checks the fingerprints against, so it
@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Set, Tuple
 
 from repro.kernel import cache as _cache
+from repro.kernel.arena import current as _current_arena
 from repro.kernel.terms import (
     App,
     And,
@@ -71,20 +72,6 @@ __all__ = [
 ]
 
 
-# Deferred import cache: arena imports terms, and keeping this module
-# import-light mirrors terms.py's lazy arena hook.
-_ARENA_MOD = None
-
-
-def _arena():
-    global _ARENA_MOD
-    if _ARENA_MOD is None:
-        from repro.kernel import arena as mod
-
-        _ARENA_MOD = mod
-    return _ARENA_MOD
-
-
 def fresh_name(base: str, taken: Set[str]) -> str:
     """A variant of ``base`` not in ``taken`` (``x``, ``x0``, ``x1``...)."""
     if base not in taken:
@@ -115,7 +102,7 @@ def subst_var(term: Term, name: str, replacement: Term) -> Term:
     return subst_vars(term, {name: replacement})
 
 
-_SUBST_CACHE = _cache.BoundedCache("subst_vars", capacity=65_536)
+_SUBST = _cache.register("subst_vars", capacity=65_536)
 
 # Worklist opcodes shared by the two substitution machines.
 _VISIT, _APP, _BIND, _PAIR = 0, 1, 2, 3
@@ -127,10 +114,10 @@ def subst_vars(term: Term, mapping: Mapping[str, Term]) -> Term:
     """Simultaneous capture-avoiding substitution.
 
     Runs as an iterative visit/combine machine.  Memo entries are per
-    *node*, keyed ``(arena id, generation, mapping, removed binders)``
-    and valued ``(result, changed)``: an unchanged hit returns the
-    caller's own node so identity-preservation (``subst_vars(t, m) is
-    t`` whenever nothing was substituted) survives memoization.
+    *node*, keyed ``(arena id, mapping, removed binders)`` and valued
+    ``(result, changed)``: an unchanged hit returns the caller's own
+    node so identity-preservation (``subst_vars(t, m) is t`` whenever
+    nothing was substituted) survives memoization.
     """
     if not mapping:
         return term
@@ -140,11 +127,11 @@ def subst_vars(term: Term, mapping: Mapping[str, Term]) -> Term:
     use_cache = _cache.enabled()
     base_key = None
     arena = None
-    gen = 0
+    memo = None
     if use_cache:
         base_key = tuple(sorted(mapping.items()))
-        arena = _arena().current()
-        gen = arena.generation
+        arena = _current_arena()
+        memo = arena.tables[_SUBST]
 
     tasks: list = [(_VISIT, term, dict(mapping), frozenset())]
     vals: list = []
@@ -162,8 +149,8 @@ def subst_vars(term: Term, mapping: Mapping[str, Term]) -> Term:
                 continue
             memo_key = None
             if use_cache:
-                memo_key = (arena.intern_id(node), gen, base_key, removed)
-                hit = _SUBST_CACHE.get(memo_key)
+                memo_key = (arena.intern_id(node), base_key, removed)
+                hit = memo.get(memo_key)
                 if hit is not None:
                     result, changed = hit
                     vals.append(result if changed else node)
@@ -182,7 +169,7 @@ def subst_vars(term: Term, mapping: Mapping[str, Term]) -> Term:
                         # The binder shadows the whole mapping: the
                         # subtree is untouched.
                         if memo_key is not None:
-                            _SUBST_CACHE.put(memo_key, (node, False))
+                            memo.put(memo_key, (node, False))
                         vals.append(node)
                         continue
                     removed_inner = removed | frozenset((var,))
@@ -216,7 +203,7 @@ def subst_vars(term: Term, mapping: Mapping[str, Term]) -> Term:
             else:
                 result = app(fn, *args)
             if memo_key is not None:
-                _SUBST_CACHE.put(memo_key, (result, result is not node))
+                memo.put(memo_key, (result, result is not node))
             vals.append(result)
         elif op == _BIND:
             _, node, var, memo_key = frame
@@ -226,7 +213,7 @@ def subst_vars(term: Term, mapping: Mapping[str, Term]) -> Term:
             else:
                 result = node.__class__(var, node.ty, body)
             if memo_key is not None:
-                _SUBST_CACHE.put(memo_key, (result, result is not node))
+                memo.put(memo_key, (result, result is not node))
             vals.append(result)
         else:  # _PAIR
             _, node, memo_key = frame
@@ -239,12 +226,12 @@ def subst_vars(term: Term, mapping: Mapping[str, Term]) -> Term:
             else:
                 result = node.__class__(lhs, rhs)
             if memo_key is not None:
-                _SUBST_CACHE.put(memo_key, (result, result is not node))
+                memo.put(memo_key, (result, result is not node))
             vals.append(result)
     return vals[0]
 
 
-_RESOLVE_CACHE = _cache.BoundedCache("subst_metas", capacity=32_768)
+_RESOLVE = _cache.register("subst_metas", capacity=32_768)
 
 
 def subst_metas(term: Term, solutions: Mapping[int, Term]) -> Term:
@@ -260,14 +247,14 @@ def subst_metas(term: Term, solutions: Mapping[int, Term]) -> Term:
     use_cache = _cache.enabled()
     solsig = None
     arena = None
-    gen = 0
+    memo = None
     if use_cache:
         metas = meta_set(term)
         if not metas or all(uid not in solutions for uid in metas):
             return term
         solsig = tuple(sorted(solutions.items()))
-        arena = _arena().current()
-        gen = arena.generation
+        arena = _current_arena()
+        memo = arena.tables[_RESOLVE]
 
     tasks: list = [(_VISIT, term)]
     vals: list = []
@@ -295,8 +282,8 @@ def subst_metas(term: Term, solutions: Mapping[int, Term]) -> Term:
                 if not metas or all(uid not in solutions for uid in metas):
                     vals.append(node)
                     continue
-                memo_key = (arena.intern_id(node), gen, solsig)
-                hit = _RESOLVE_CACHE.get(memo_key)
+                memo_key = (arena.intern_id(node), solsig)
+                hit = memo.get(memo_key)
                 if hit is not None:
                     result, changed = hit
                     vals.append(result if changed else node)
@@ -326,7 +313,7 @@ def subst_metas(term: Term, solutions: Mapping[int, Term]) -> Term:
             else:
                 result = app(fn, *args)
             if memo_key is not None:
-                _RESOLVE_CACHE.put(memo_key, (result, result is not node))
+                memo.put(memo_key, (result, result is not node))
             vals.append(result)
         elif op == _BIND:
             _, node, var, memo_key = frame
@@ -336,7 +323,7 @@ def subst_metas(term: Term, solutions: Mapping[int, Term]) -> Term:
             else:
                 result = node.__class__(var, node.ty, body)
             if memo_key is not None:
-                _RESOLVE_CACHE.put(memo_key, (result, result is not node))
+                memo.put(memo_key, (result, result is not node))
             vals.append(result)
         else:  # _PAIR
             _, node, memo_key = frame
@@ -349,7 +336,7 @@ def subst_metas(term: Term, solutions: Mapping[int, Term]) -> Term:
             else:
                 result = node.__class__(lhs, rhs)
             if memo_key is not None:
-                _RESOLVE_CACHE.put(memo_key, (result, result is not node))
+                memo.put(memo_key, (result, result is not node))
             vals.append(result)
     return vals[0]
 
@@ -410,7 +397,7 @@ def _alpha_eq(
     raise AssertionError(f"unknown term node: {t1!r}")
 
 
-_ALPHA_KEY_CACHE = _cache.BoundedCache("alpha_key", capacity=8_192)
+_ALPHA_KEY = _cache.register("alpha_key", capacity=8_192)
 
 
 def alpha_key(term: Term) -> str:
@@ -421,13 +408,14 @@ def alpha_key(term: Term) -> str:
     Bruijn level).  Used to build duplicate-proof-state keys.
     """
     if _cache.enabled():
-        hit = _ALPHA_KEY_CACHE.get(term)
+        memo = _current_arena().tables[_ALPHA_KEY]
+        hit = memo.get(term)
         if hit is not None:
             return hit
         parts: list = []
         _alpha_key(term, {}, 0, parts)
         result = "".join(parts)
-        _ALPHA_KEY_CACHE.put(term, result)
+        memo.put(term, result)
         return result
     parts = []
     _alpha_key(term, {}, 0, parts)
@@ -448,7 +436,7 @@ def alpha_fingerprint(term: Term) -> int:
     """
     if not _cache.enabled():
         return _alpha_fp_pristine(term)
-    arena = _arena().current()
+    arena = _current_arena()
     return arena.alpha_fp_of(arena.intern_id(term))
 
 

@@ -288,13 +288,13 @@ def _term_eq(self: Term, other: object):
         return True
     if other.__class__ is not self.__class__:
         return NotImplemented
-    d1 = self.__dict__
-    d2 = other.__dict__  # type: ignore[attr-defined]
-    gen = d1.get("_agen")
-    if gen is not None and gen == d2.get("_agen"):
-        # Both interned in the live arena generation: structural
-        # equality IS id equality.
-        return d1["_aid"] == d2["_aid"]
+    s1 = self.__dict__.get("_st")
+    if s1 is not None:
+        s2 = other.__dict__.get("_st")  # type: ignore[attr-defined]
+        if s2 is not None and s1[0] == s2[0]:
+            # Both stamped by one arena: structural equality IS id
+            # equality.  Each stamp is one (generation, id) read.
+            return s1[1] == s2[1]
     if _term_hash(self) != _term_hash(other):  # type: ignore[arg-type]
         return False
     return _structural_eq(self, other)  # type: ignore[arg-type]
@@ -317,13 +317,13 @@ def _structural_eq(t1: Term, t2: Term) -> bool:
         cls = a.__class__
         if cls is not b.__class__:
             return False
-        da = a.__dict__
-        db = b.__dict__
-        gen = da.get("_agen")
-        if gen is not None and gen == db.get("_agen"):
-            if da["_aid"] != db["_aid"]:
-                return False
-            continue
+        sa = a.__dict__.get("_st")
+        if sa is not None:
+            sb = b.__dict__.get("_st")
+            if sb is not None and sa[0] == sb[0]:
+                if sa[1] != sb[1]:
+                    return False
+                continue
         if _term_hash(a) != _term_hash(b):
             return False
         if cls is Var or cls is Const:
@@ -405,9 +405,10 @@ def intern(term: Term) -> Term:
     derived values (hash, free variables, metas, alpha fingerprints)
     are computed once per structure rather than once per copy, and
     structural equality of interned terms is id (identity) equality.
-    Interning is safe because terms are frozen; the arena is retired
-    (and the epoch stamped on representatives is invalidated) by
-    :func:`repro.kernel.cache.clear_caches`.
+    Interning is safe because terms are frozen.  The arena is the
+    running search's own (:func:`repro.kernel.arena.scope`), or the
+    default one outside any search; a term interned in another arena
+    is re-stamped for this one.
     """
     if not _cache.enabled():
         return term

@@ -22,7 +22,6 @@ __all__ = [
     "TacticGenerator",
     "GenerationRequest",
     "generate_batch",
-    "supports_batch",
 ]
 
 
@@ -61,11 +60,6 @@ class TacticGenerator(Protocol):
     def generate(self, prompt: str, k: int) -> List[Candidate]:
         """Up to ``k`` candidates, best first, with log-probabilities."""
         ...
-
-
-def supports_batch(generator: "TacticGenerator") -> bool:
-    """True when ``generator`` implements a native ``generate_batch``."""
-    return callable(getattr(generator, "generate_batch", None))
 
 
 def generate_batch(

@@ -277,10 +277,10 @@ def head_priors(hinted: Sequence[LemmaView]) -> Dict[str, float]:
 # twice.  The bounds cover one project's statements and paragraphs,
 # one file's run of contexts, and the goal and hypothesis texts of a
 # few searches.
-_VIEWS = BoundedCache("prompt_lemmas", 4_096, register=False)
-_PARAGRAPHS = BoundedCache("prompt_paragraphs", 4_096, register=False)
-_CONTEXTS = BoundedCache("prompt_contexts", 64, register=False)
-_TERMS = BoundedCache("prompt_terms", 1_024, register=False)
+_VIEWS = BoundedCache("prompt_lemmas", 4_096)
+_PARAGRAPHS = BoundedCache("prompt_paragraphs", 4_096)
+_CONTEXTS = BoundedCache("prompt_contexts", 64)
+_TERMS = BoundedCache("prompt_terms", 1_024)
 
 
 def _lemma_view(

@@ -6,9 +6,7 @@ stalled connections, truncated payloads.  :class:`ResilientGenerator`
 gives the search engine the retry/timeout discipline such an endpoint
 needs, without the engine knowing anything changed:
 
-* **per-query timeouts** — post-hoc via an injectable monotonic clock
-  (and optionally *hard*, via a watchdog thread, for calls that can
-  genuinely hang);
+* **per-query timeouts** — post-hoc via an injectable monotonic clock;
 * **bounded retries** with exponential backoff and *deterministic*
   jitter (a hash of the prompt and attempt number, not an RNG — two
   identical runs sleep identically);
@@ -82,7 +80,6 @@ class RetryPolicy:
     jitter: float = 0.25  # max extra delay, as a fraction of the delay
     rate_limit_delay: float = 0.5  # backoff floor after a 429
     query_timeout: Optional[float] = 30.0  # per-query budget (seconds)
-    hard_timeout: bool = False  # enforce query_timeout with a watchdog
     breaker_threshold: int = 5  # consecutive failures that open it
     breaker_cooldown: float = 30.0  # seconds open before half-open
 
@@ -94,34 +91,6 @@ class RetryPolicy:
         if isinstance(error, RateLimitError):
             delay = max(delay, self.rate_limit_delay)
         return delay * (1.0 + self.jitter * stable_jitter(jitter_key, retry))
-
-
-def _call_with_hard_timeout(fn, args, timeout: float):
-    """Run ``fn(*args)`` on a watchdog thread; abandon it on timeout.
-
-    This is the only defence against a primary call that never returns
-    (the post-hoc clock check cannot fire if the call doesn't come
-    back).  The abandoned daemon thread's eventual result is discarded.
-    """
-    box: List[object] = []
-
-    def work() -> None:
-        try:
-            box.append(("ok", fn(*args)))
-        except BaseException as exc:  # ship the failure to the caller
-            box.append(("err", exc))
-
-    thread = threading.Thread(target=work, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    if not box:
-        raise GenerationTimeout(
-            f"model query exceeded its {timeout:g}s budget (stalled call)"
-        )
-    tag, value = box[0]
-    if tag == "err":
-        raise value  # type: ignore[misc]
-    return value
 
 
 class ResilientGenerator:
@@ -261,10 +230,7 @@ class ResilientGenerator:
     def _call_primary(self, call: Callable, *args):
         timeout = self.policy.query_timeout
         started = self.clock()
-        if timeout is not None and self.policy.hard_timeout:
-            result = _call_with_hard_timeout(call, args, timeout)
-        else:
-            result = call(*args)
+        result = call(*args)
         if timeout is not None and self.clock() - started > timeout:
             # The call returned, but only after blowing its budget — a
             # real client would have abandoned it (stalled connection).

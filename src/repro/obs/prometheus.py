@@ -268,13 +268,6 @@ def _render_service(registry: _Registry, service: dict) -> None:
                 "records evicted from the bounded in-memory proof cache",
             ).add(cache.get("evictions", 0))
 
-    if "kernel_cache_pins" in service:
-        gauge(
-            "repro_service_kernel_cache_pins",
-            "gauge",
-            "kernel cache pin scopes currently held by live searches",
-        ).add(service["kernel_cache_pins"])
-
     kernel_caches = service.get("kernel_cache") or {}
     if kernel_caches:
         hits_f = gauge(

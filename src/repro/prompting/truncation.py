@@ -22,7 +22,7 @@ _MARKER = "(* ...context truncated... *)\n"
 # lines.  ``count_tokens`` is pure, so the memo is exact; it evicts its
 # oldest line when full, and a racing thread can only make it count a
 # line again.
-_LINE_TOKENS = BoundedCache("line_tokens", 16_384, register=False)
+_LINE_TOKENS = BoundedCache("line_tokens", 16_384)
 
 
 def truncate_to_window(prompt: str, window_tokens: int) -> str:

@@ -16,9 +16,9 @@ Two layers:
   lifetime: a store-less server is exactly the long-running deployment
   where an unbounded dict of OutcomeRecords (each carrying a generated
   proof) is a slow memory leak, so the fallback reuses the kernel's
-  FIFO :class:`~repro.kernel.cache.BoundedCache` (unregistered — the
-  per-task kernel-cache clear must never wipe proof results) and
-  surfaces its eviction count in :meth:`ProofCache.stats`.
+  FIFO :class:`~repro.kernel.cache.BoundedCache` (the process's own,
+  not a per-search kernel table) and surfaces its eviction count in
+  :meth:`ProofCache.stats`.
 * **Single-flight admission** — identical requests that arrive while
   the first is still searching must not each burn a 128-query fuel
   budget.  :meth:`ProofCache.admit` hands the first caller a freshly
@@ -64,12 +64,8 @@ class ProofCache:
         self._lock = threading.Lock()
         # Store-less fallback (a read-through layer over the store is
         # unnecessary: RunStore keeps its own in-memory index).  FIFO-
-        # bounded so a long-lived server cannot grow without limit;
-        # register=False keeps it out of the kernel-cache registry,
-        # whose per-task clear would otherwise wipe proof results.
-        self._memory = BoundedCache(
-            "service.proofcache", memory_capacity, register=False
-        )
+        # bounded so a long-lived server cannot grow without limit.
+        self._memory = BoundedCache("service.proofcache", memory_capacity)
         # key -> whatever object admit()'s factory produced (a Job, in
         # the scheduler's case), while that work is in flight.
         self._inflight: Dict[str, object] = {}

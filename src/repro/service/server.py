@@ -570,7 +570,6 @@ class ProverService(Frontend):
 
         return {
             "batchers": [b.stats() for b in self._batchers.values()],
-            "kernel_cache_pins": kernel_cache.pin_count(),
             "kernel_cache": kernel_cache.cache_stats(),
         }
 

@@ -24,6 +24,7 @@ import itertools
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import TacticError, UnificationError
+from repro.kernel import arena as _arena
 from repro.kernel import cache as _cache
 from repro.kernel.env import Environment
 from repro.kernel.goals import Goal, HypDecl, ProofState, VarDecl
@@ -108,9 +109,9 @@ def _clash(goal_head: Optional[object], head: Optional[object]) -> bool:
 # ``solve`` leaves the ``MetaStore`` as it found it, so skipping the
 # call cannot be observed.  Keyed by the goal itself, its declarations
 # resolved, and by everything else ``solve`` reads: the environment,
-# its hint database and the ``using`` lemmas.  A kernel cache: emptied
-# per task and bypassed with the caches off.
-_AUTO_FAIL = _cache.BoundedCache("auto_fail", capacity=4_096)
+# its hint database and the ``using`` lemmas.  A kernel cache: one
+# table per search, bypassed with the caches off.
+_AUTO_FAIL = _cache.register("auto_fail", capacity=4_096)
 
 
 class _Prover:
@@ -150,15 +151,16 @@ class _Prover:
         key = self._failure_key(goal, concl)
         if key is None:
             return self._search(goal, concl, depth)
-        failed = _AUTO_FAIL.data.get(key)
+        failures = _arena.current().tables[_AUTO_FAIL]
+        failed = failures.data.get(key)
         if failed is not None and depth <= failed:
-            _AUTO_FAIL.hits += 1
+            failures.hits += 1
             return False
-        _AUTO_FAIL.misses += 1
+        failures.misses += 1
         if self._search(goal, concl, depth):
             return True
         # Any entry a recursive call made for this goal is shallower.
-        _AUTO_FAIL.put(key, depth)
+        failures.put(key, depth)
         return False
 
     def _failure_key(self, goal: Goal, concl: Term) -> Optional[tuple]:

@@ -351,7 +351,7 @@ class _TacticParser:
 # Each tactic text parsed so far: its frozen node, or the (message,
 # position) of its ParseError.  A search checks the same few candidate
 # texts at many states, and the parse is a pure function of the text.
-_PARSED = BoundedCache("tactic_parse", 4_096, register=False)
+_PARSED = BoundedCache("tactic_parse", 4_096)
 
 
 def parse_tactic(text: str) -> TacticNode:

@@ -9,9 +9,9 @@ charges a network round-trip and per-request service overhead on
 ``generate`` call charges ``overhead`` seconds before answering, and a
 ``generate_batch`` call charges ``overhead`` **once for the whole
 batch** — the shape of a batch completion API, where n requests share
-one round-trip.  By default the charge is *serialized* (an internal
-gate admits one request at a time), modelling the requests-per-minute
-rate limit every real endpoint enforces: with it, request overhead
+one round-trip.  The charge is *serialized* (an internal gate admits
+one request at a time), modelling the requests-per-minute rate limit
+every real endpoint enforces: with it, request overhead
 bounds system throughput at ``1/overhead`` dispatches per second no
 matter how many searches run concurrently — which is precisely the
 bound micro-batching lifts.  Results are untouched (the wrapper
@@ -48,14 +48,12 @@ class LatencyGenerator:
         inner: TacticGenerator,
         overhead: float,
         sleep: Callable[[float], None] = time.sleep,
-        serialize: bool = True,
     ) -> None:
         if overhead < 0:
             raise ValueError("overhead must be >= 0")
         self.inner = inner
         self.overhead = overhead
         self._sleep = sleep
-        self.serialize = serialize
         self.name = inner.name
         self.context_window = inner.context_window
         self.provides_log_probs = getattr(inner, "provides_log_probs", False)
@@ -67,12 +65,9 @@ class LatencyGenerator:
         self.round_trips += 1
         if not self.overhead:
             return
-        if self.serialize:
-            # One request in flight at a time: the endpoint's rate
-            # limit, not each caller's private wait.
-            with self._gate:
-                self._sleep(self.overhead)
-        else:
+        # One request in flight at a time: the endpoint's rate limit,
+        # not each caller's private wait.
+        with self._gate:
             self._sleep(self.overhead)
 
     def generate(self, prompt: str, k: int) -> List[Candidate]:

@@ -3,10 +3,11 @@
 Regression for a race in ``TermArena._admit``: without the admit lock,
 two threads could read the same ``len(self.nodes)`` as a fresh id and
 interleave their appends, publishing misaligned ids — the cause of
-sporadic ``IndexError`` job failures in concurrent service runs.  The
-hammer drives many threads through overlapping term structures (shared
-seeds guarantee cross-thread collisions on the same nodes) and then
-checks the arena's invariants.
+sporadic ``IndexError`` job failures in concurrent service runs.  Every
+thread outside a search shares the default kernel state, so its arena
+still admits under the lock.  The hammer drives many threads through
+overlapping term structures (shared seeds guarantee cross-thread
+collisions on the same nodes) and then checks the arena's invariants.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import threading
 
 from repro.kernel import arena
 from repro.kernel import cache as kernel_cache
-from repro.kernel.terms import And, Const, Impl, Var, napp
+from repro.kernel.terms import And, Const, Impl, Var, napp, term_children
 
 THREADS = 12
 TRIALS = 6
@@ -42,14 +43,13 @@ def test_concurrent_intern_keeps_arrays_aligned():
 
     def worker(seed: int) -> None:
         try:
-            with kernel_cache.pinned():
-                a = arena.current()
-                # Shared seeds: distinct threads intern identical
-                # structures, forcing contention on the same entries.
-                for term in _make_terms(seed % 5):
-                    tid = a.intern_id(term)
-                    rep = a.term_of(tid)
-                    assert a.intern_id(rep) == tid
+            a = arena.current()
+            # Shared seeds: distinct threads intern identical
+            # structures, forcing contention on the same entries.
+            for term in _make_terms(seed % 5):
+                tid = a.intern_id(term)
+                rep = a.term_of(tid)
+                assert a.intern_id(rep) == tid
         except Exception as exc:  # propagate to the main thread
             errors.append(f"{type(exc).__name__}: {exc}")
 
@@ -68,6 +68,7 @@ def test_concurrent_intern_keeps_arrays_aligned():
         lengths = {
             len(a.nodes),
             len(a.terms),
+            len(a.stamps),
             len(a.hashes),
             len(a.fvs),
             len(a.metas),
@@ -76,5 +77,7 @@ def test_concurrent_intern_keeps_arrays_aligned():
         assert len(lengths) == 1, f"trial {trial}: misaligned {lengths}"
         for key, tid in list(a.table.items()):
             assert tid < len(a.terms), f"trial {trial}: id {tid} OOB"
-            assert a._node_key(a.terms[tid]) == key
+            rep = a.terms[tid]
+            ids = [a.intern_id(c) for c in term_children(rep)]
+            assert a._node_key(rep, ids) == key
     kernel_cache.clear_caches()

@@ -184,7 +184,7 @@ class TestInterning:
 
 
 class TestArena:
-    """The hash-consing arena itself: ids, round-trips, epochs."""
+    """The hash-consing arena itself: ids, round-trips, scopes."""
 
     @SETTINGS
     @given(terms_st)
@@ -220,24 +220,26 @@ class TestArena:
     @SETTINGS
     @given(terms_st)
     def test_fingerprint_stable_across_arena_epochs(self, t):
-        from repro.kernel.arena import current
+        from repro.kernel.arena import current, scope
 
         before = alpha_fingerprint(t)
-        cache.clear_caches()  # retire the arena generation
-        arena = current()
-        assert arena.generation == cache.intern_epoch()
-        assert alpha_fingerprint(t) == before
+        with scope() as arena:  # a fresh arena for one search
+            assert current() is arena
+            assert alpha_fingerprint(t) == before
 
     def test_interning_tracks_the_live_generation(self):
-        from repro.kernel.arena import current
+        from repro.kernel.arena import current, scope
 
         t = app(Const("f"), Var("x"), Var("y"))
         first = intern(t)
-        cache.clear_caches()
-        second = intern(t)
-        # Fresh generation: a fresh canonical object, same structure.
-        assert second == first
-        assert current().generation == cache.intern_epoch()
+        with scope() as arena:
+            second = intern(t)
+            # A fresh arena: the same structure, stamped with this
+            # arena's generation.
+            assert second == first
+            assert second.__dict__["_st"][0] == arena.generation
+        assert intern(t) is first
+        assert first.__dict__["_st"][0] == current().generation
 
 
 class TestStateKeyTVarInvariance:

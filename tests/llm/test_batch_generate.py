@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import TransientModelError
 from repro.llm import available_models, get_model
-from repro.llm.interface import Candidate, generate_batch, supports_batch
+from repro.llm.interface import Candidate, generate_batch
 from repro.llm.resilient import ResilientGenerator
 
 PROMPTS = [
@@ -64,10 +64,6 @@ class SoloOnly:
 
 
 class TestModuleFallback:
-    def test_supports_batch(self):
-        assert supports_batch(get_model("gpt-4o"))
-        assert not supports_batch(SoloOnly())
-
     def test_fallback_is_elementwise_solo(self):
         gen = SoloOnly()
         out = generate_batch(gen, [("a", 1), ("b", 2)])

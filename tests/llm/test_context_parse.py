@@ -83,7 +83,7 @@ def fresh_memos(monkeypatch):
         monkeypatch.setattr(
             promptview,
             name,
-            BoundedCache(memo.name, memo.capacity, register=False),
+            BoundedCache(memo.name, memo.capacity),
         )
 
 
@@ -108,7 +108,7 @@ def test_memos_stay_bounded(project, monkeypatch):
     for name in _MEMOS:
         memo = getattr(promptview, name)
         monkeypatch.setattr(
-            promptview, name, BoundedCache(memo.name, 8, register=False)
+            promptview, name, BoundedCache(memo.name, 8)
         )
     hint_names = make_splits(project).hint_names
     for theorem in project.theorems[:40]:

@@ -140,7 +140,7 @@ class TestPromptView:
             monkeypatch.setattr(
                 promptview,
                 name,
-                BoundedCache(memo.name, memo.capacity, register=False),
+                BoundedCache(memo.name, memo.capacity),
             )
         hinted = parse_prompt(prompt_for("rev_involutive", hinted=True))
         vanilla = parse_prompt(prompt_for("rev_involutive"))

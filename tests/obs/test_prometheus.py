@@ -45,7 +45,10 @@ def sample_service_block():
             "evictions": 1,
             "path": None,
         },
-        "kernel_cache_pins": 2,
+        "kernel_cache": {
+            "intern": {"hits": 40, "misses": 10, "size": 10, "hit_rate": 0.8},
+            "whnf": {"hits": 3, "misses": 1, "size": 0, "hit_rate": 0.75},
+        },
     }
 
 
@@ -123,6 +126,9 @@ class TestExpositionFormat:
         assert types["repro_service_queue_depth"] == "gauge"
         assert types["repro_service_in_flight"] == "gauge"
         assert types["repro_service_uptime_seconds"] == "gauge"
+        assert types["repro_service_kernel_cache_hits_total"] == "counter"
+        assert types["repro_service_kernel_cache_size"] == "gauge"
+        assert "repro_service_kernel_cache_pins" not in types
 
 
 class TestRendering:

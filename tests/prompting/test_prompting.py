@@ -186,7 +186,7 @@ class TestTruncation:
 
 def _memo(capacity=16_384):
     """An empty line-count memo, as the process starts with."""
-    return BoundedCache("line_tokens", capacity, register=False)
+    return BoundedCache("line_tokens", capacity)
 
 
 class TestLineMemo:

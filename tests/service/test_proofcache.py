@@ -132,8 +132,7 @@ class TestMemoryBound:
 
     def test_kernel_cache_clear_does_not_wipe_proof_results(self):
         # The bounded table reuses kernel BoundedCache machinery but
-        # must NOT be in the kernel registry: clear_caches() runs once
-        # per evaluation task and would empty the proof cache.
+        # is no kernel state: clear_caches() must leave it alone.
         from repro.kernel import cache as kernel_cache
 
         cache = ProofCache()

@@ -71,7 +71,7 @@ class TestRoutes:
         assert "queue_depth" in service_block["scheduler"]
         assert "in_flight" in service_block["scheduler"]
         assert service_block["proof_cache"]["persistent"] is False
-        assert "kernel_cache_pins" in service_block
+        assert "kernel_cache" in service_block
         assert "metrics" in snapshot
 
     def test_unknown_route_is_404(self, served):

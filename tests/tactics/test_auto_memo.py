@@ -1,7 +1,8 @@
 """``auto``'s failure memo: exact, per task, and only where in scope.
 
-The memo (``auto_._AUTO_FAIL``) lets ``solve`` answer False at once for
-a goal that already failed at the same depth or deeper in this task.
+The memo (each kernel state's ``auto_fail`` table) lets ``solve``
+answer False at once for a goal that already failed at the same depth
+or deeper in this search.
 That is exact because failure is monotone in depth and a failed
 ``solve`` leaves the ``MetaStore`` as it found it; these tests check
 both facts on the corpus's human proofs, then check that probing
@@ -11,7 +12,7 @@ proof gives the same verdicts and states with the memo on and off.
 
 from contextlib import contextmanager
 
-from repro.kernel import cache
+from repro.kernel import arena, cache
 from repro.kernel.goals import HypDecl, initial_state
 from repro.kernel.parser import parse_statement
 from repro.kernel.terms import Const, metas_of
@@ -42,37 +43,46 @@ def _snapshot(state):
     )
 
 
+def _memo_hits():
+    return cache.cache_stats().get("auto_fail", {}).get("hits", 0)
+
+
+def _failures():
+    """The running kernel state's failure memo."""
+    return arena.current().tables[auto_._AUTO_FAIL].data
+
+
 def _probe_trace(project, theorem):
     """Every probe's verdict and state at each step of the human proof."""
-    cache.clear_caches()  # one task
-    checker = ProofChecker(project.env_for(theorem))
-    state = checker.start(theorem.statement)
-    trace = []
-    for tactic in script_tactics(theorem.proof_text):
-        for probe in _PROBES:
-            result = checker.check(state, probe)
-            trace.append(
-                (tactic, probe, result.verdict.value, result.message,
-                 _snapshot(result.state))
-            )
-        result = checker.check(state, tactic)
-        assert result.ok, (theorem.name, tactic, result.message)
-        state = result.state
-    assert state.is_complete(), theorem.name
-    return trace
+    with arena.scope():  # one search
+        checker = ProofChecker(project.env_for(theorem))
+        state = checker.start(theorem.statement)
+        trace = []
+        for tactic in script_tactics(theorem.proof_text):
+            for probe in _PROBES:
+                result = checker.check(state, probe)
+                trace.append(
+                    (tactic, probe, result.verdict.value, result.message,
+                     _snapshot(result.state))
+                )
+            result = checker.check(state, tactic)
+            assert result.ok, (theorem.name, tactic, result.message)
+            state = result.state
+        assert state.is_complete(), theorem.name
+        return trace
 
 
 class TestExactness:
     def test_probed_human_proofs_agree_with_memo_off(
         self, project, monkeypatch
     ):
-        hits = auto_._AUTO_FAIL.hits
+        hits = _memo_hits()
         with_memo = [_probe_trace(project, t) for t in project.theorems]
-        assert auto_._AUTO_FAIL.hits > hits + 100  # the memo was used
+        assert _memo_hits() > hits + 100  # the memo was used
         with _memo_off(monkeypatch):
-            hits = auto_._AUTO_FAIL.hits
+            hits = _memo_hits()
             without = [_probe_trace(project, t) for t in project.theorems]
-            assert auto_._AUTO_FAIL.hits == hits
+            assert _memo_hits() == hits
         for theorem, on, off in zip(project.theorems, with_memo, without):
             assert on == off, theorem.name
 
@@ -134,12 +144,13 @@ def _focused(env, text, script=""):
 class TestScope:
     def test_registered_per_task_and_reported(self, env):
         state = _focused(env, "forall a b : nat, a = b", "intros.")
-        cache.clear_caches()
-        run_tactic(env, state, parse_tactic("auto"))
-        assert len(auto_._AUTO_FAIL.data) > 0
+        with arena.scope() as search:
+            run_tactic(env, state, parse_tactic("auto"))
+            assert len(_failures()) > 0
+            assert "auto_fail" in cache.stats_delta({}, search.stats())
         assert "auto_fail" in cache.cache_stats()
-        cache.clear_caches()
-        assert len(auto_._AUTO_FAIL.data) == 0
+        with arena.scope():
+            assert len(_failures()) == 0
 
     def test_second_call_is_a_hit(self, env):
         state = _focused(env, "forall a b : nat, a = b", "intros.")
@@ -165,7 +176,7 @@ class TestScope:
             for _ in range(2):
                 run_tactic(env, state, parse_tactic("auto"))
         assert "auto_fail" not in cache.stats_delta(before)
-        assert len(auto_._AUTO_FAIL.data) == 0
+        assert len(_failures()) == 0
 
     def test_goals_with_metavariables_are_not_keyed(self, env):
         # After ``eapply le_trans`` the goal holds the middle bound.

@@ -40,7 +40,7 @@ def test_checker_message_is_unchanged_on_a_memo_hit(env):
 
 def test_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(
-        tactic_parse, "_PARSED", BoundedCache("tactic_parse", 4, register=False)
+        tactic_parse, "_PARSED", BoundedCache("tactic_parse", 4)
     )
     for depth in range(10):
         parse_tactic(f"auto {depth}")
